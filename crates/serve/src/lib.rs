@@ -34,11 +34,14 @@
 //! * **Metrics** ([`metrics::ServeMetrics`]) — request counts,
 //!   p50/p95/p99 latency, time steps and spikes per request, batch
 //!   occupancy, and queue depth.
-//! * **TCP front-end** ([`net::NetServer`]) — a nonblocking
-//!   `std::net` poll loop speaking a length-framed binary protocol
-//!   into `submit`; malformed input poisons only its own connection,
-//!   oversized frames are rejected from the header alone, and slow or
-//!   idle peers time out.
+//! * **TCP front-end** ([`net::NetServer`]) — an event loop over
+//!   nonblocking `std::net` sockets speaking a length-framed binary
+//!   protocol into `submit`. With nothing to do it blocks in `poll(2)`
+//!   until a socket is ready, a worker's completion hook pings its
+//!   wake-up pipe, or a connection timeout falls due, so neither a
+//!   request frame nor its reply waits on a timer. Malformed input
+//!   poisons only its own connection, oversized frames are rejected
+//!   from the header alone, and slow or idle peers time out.
 //! * **Load shedding** ([`shed::AdmissionControl`]) — a queue-depth
 //!   watermark refuses work *before* it queues, and `QueueFull`
 //!   backpressure maps to the same explicit `SHED` wire response, so

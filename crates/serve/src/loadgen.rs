@@ -395,18 +395,13 @@ fn latency_histogram() -> Histogram {
     Histogram::log_linear(1, 8, 1 << 25)
 }
 
-/// Sleeps (coarsely, then spins the last stretch) until `deadline`.
+/// Sleeps until `deadline`; returns at once if it has passed. It never
+/// spins, so sender threads leave the CPU to the server they measure.
+/// Latency runs from the scheduled arrival, so oversleeping is still
+/// counted.
 fn wait_until(deadline: Instant) {
-    loop {
-        let now = Instant::now();
-        let Some(remaining) = deadline.checked_duration_since(now) else {
-            return;
-        };
-        if remaining > Duration::from_millis(1) {
-            std::thread::sleep(remaining - Duration::from_millis(1));
-        } else {
-            std::thread::yield_now();
-        }
+    if let Some(remaining) = deadline.checked_duration_since(Instant::now()) {
+        std::thread::sleep(remaining);
     }
 }
 

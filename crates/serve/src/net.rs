@@ -5,8 +5,12 @@
 //! accepts TCP connections, decodes framed requests into
 //! [`crate::ServeRuntime::submit`] through [`crate::shed`]'s admission
 //! control, and writes framed responses back as lanes retire — all from
-//! one poll-loop thread with per-connection read/write buffering, no
-//! external crates.
+//! one event-loop thread with per-connection read/write buffering, no
+//! external crates. When a pass over the connections finds nothing to
+//! do, the thread blocks in `poll(2)` until a socket is ready, a worker
+//! completes a response, a connection's read or idle timeout falls due,
+//! or the server is stopped. It never sleeps on a timer, so a request
+//! waits for neither its frame to be noticed nor its reply to be sent.
 //!
 //! ## Wire format
 //!
@@ -36,7 +40,7 @@
 //! stats-reply (kind 4): what u8 | UTF-8 text (the requested dump)
 //! ```
 //!
-//! `STATS` frames are answered inline from the poll loop (no queueing,
+//! `STATS` frames are answered inline from the event loop (no queueing,
 //! never shed), so the observability surface stays reachable under the
 //! very overload it exists to explain.
 //!
@@ -55,12 +59,16 @@
 
 use crate::error::ServeError;
 use crate::obs::MetricsHub;
-use crate::request::{ExitPolicy, ExitReason, InferRequest, InferResponse, ResponseHandle};
+use crate::request::{
+    CompletionHook, ExitPolicy, ExitReason, InferRequest, InferResponse, ResponseHandle,
+};
 use crate::runtime::ServeRuntime;
 use crate::shed::{AdmissionControl, AdmitError, ShedConfig, ShedReason};
+use std::ffi::{c_int, c_short};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, PipeReader, PipeWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -602,6 +610,9 @@ pub fn decode_response(payload: &[u8]) -> Result<NetResponse, WireError> {
 // Server
 // ---------------------------------------------------------------------
 
+/// How soon the event loop retries a listener whose accept failed.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
 /// Tuning knobs of a [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -799,16 +810,172 @@ impl Conn {
     fn flushed(&self) -> bool {
         self.wpos == self.wbuf.len()
     }
+
+    fn has_ready_response(&self) -> bool {
+        self.pending.iter().any(|(_, handle)| handle.is_ready())
+    }
+
+    /// The `poll(2)` events this connection waits for: readable while it
+    /// can still read, writable while its write buffer is unflushed. A
+    /// connection with neither (read side closed, responses still in
+    /// flight) is left out of the wait; the wake-up pipe covers it.
+    fn interest(&self) -> c_short {
+        let mut events = 0;
+        if !self.read_closed && !self.poisoned {
+            events |= sys::POLLIN;
+        }
+        if !self.flushed() {
+            events |= sys::POLLOUT;
+        }
+        events
+    }
 }
 
-/// The poll-loop TCP front-end over a [`ServeRuntime`].
+#[cfg(not(unix))]
+compile_error!("the TCP front-end blocks in poll(2), so bsnn-serve builds only for unix targets");
+
+/// The front-end's one foreign call, `poll(2)`.
+#[cfg(unix)]
+mod sys {
+    use std::ffi::{c_int, c_short};
+    use std::io;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub(super) struct PollFd {
+        fd: c_int,
+        events: c_short,
+        pub(super) revents: c_short,
+    }
+
+    impl PollFd {
+        pub(super) fn new(fd: c_int, events: c_short) -> Self {
+            PollFd {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+    }
+
+    pub(super) const POLLIN: c_short = 0x1;
+    pub(super) const POLLOUT: c_short = 0x4;
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Blocks until an entry of `fds` is ready or `timeout_ms` passes
+    /// (`-1` waits indefinitely), filling in each entry's `revents`.
+    pub(super) fn wait(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<()> {
+        // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+        // `struct pollfd` records and `nfds` is its length, so poll(2)
+        // writes only their `revents` fields, within the slice, and
+        // keeps no pointer past the call.
+        let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
+        if ready < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// How the front-end thread is woken from `poll(2)`: a self-pipe whose
+/// read end is in every wait.
 ///
-/// Bind with [`bind`](Self::bind), then either [`run`](Self::run) on the
-/// current thread or [`spawn`](Self::spawn) a dedicated one. The loop is
-/// level-polled over nonblocking sockets: each pass accepts, reads,
-/// decodes, admits, collects finished responses, and flushes — sleeping
-/// briefly only when an entire pass made no progress, so idle servers
-/// don't spin and loaded ones don't add latency.
+/// Workers ping it through the completion hook the front-end installs on
+/// each admitted request, but only while the loop is armed: it arms,
+/// looks once more for a finished response, then blocks, and the first
+/// completion after arming disarms it and pings. A busy loop never arms, so it pays no
+/// syscall per response. Stopping always pings. At most one byte is
+/// ever in the pipe, so a ping never blocks on it. Every hook holds an
+/// `Arc` of this, so the read end lives as long as any hook that can
+/// still fire, and a worker that finishes after the front-end has exited
+/// never writes into a closed pipe.
+#[derive(Debug)]
+struct Wakeup {
+    rx: PipeReader,
+    tx: PipeWriter,
+    armed: AtomicBool,
+    /// Whether a ping's byte is in the pipe (or about to be).
+    pinged: AtomicBool,
+    stop: AtomicBool,
+}
+
+impl Wakeup {
+    fn new() -> io::Result<Self> {
+        let (rx, tx) = io::pipe()?;
+        Ok(Wakeup {
+            rx,
+            tx,
+            armed: AtomicBool::new(false),
+            pinged: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+        })
+    }
+
+    /// The completion hook's body: pings if the loop is armed. The load
+    /// keeps the common, unarmed case free of a read-modify-write.
+    fn completed(&self) {
+        if self.armed.load(Ordering::SeqCst) && self.armed.swap(false, Ordering::SeqCst) {
+            self.ping();
+        }
+    }
+
+    fn arm(&self) {
+        self.armed.store(true, Ordering::SeqCst);
+    }
+
+    fn disarm(&self) {
+        self.armed.store(false, Ordering::SeqCst);
+    }
+
+    fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.ping();
+    }
+
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Writes a byte unless one is already pending, which wakes the
+    /// loop just as well.
+    fn ping(&self) {
+        if !self.pinged.swap(true, Ordering::SeqCst) {
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+
+    /// Consumes the pending byte once the wait saw it. The flag is
+    /// cleared first, so a later ping writes a fresh byte and none is
+    /// lost.
+    fn drain(&self) {
+        if self.pinged.swap(false, Ordering::SeqCst) {
+            let _ = (&self.rx).read(&mut [0u8; 1]);
+        }
+    }
+}
+
+/// The event-loop TCP front-end over a [`ServeRuntime`].
+///
+/// Bind with [`bind`](Self::bind), then [`spawn`](Self::spawn) its
+/// thread. Each pass over the nonblocking sockets accepts, reads,
+/// decodes, admits, collects finished responses, and flushes. A pass
+/// that finds nothing to do arms the admitted requests' completion
+/// hooks, looks once more for a finished response, then blocks in
+/// `poll(2)` on the listener, every connection that can still read or
+/// has unflushed output, and a wake-up pipe, for at most the time to
+/// the nearest connection read/idle timeout. So an idle server uses no
+/// CPU, a ready socket or a finished response is handled as soon as it
+/// happens, and a loaded server, whose passes keep finding work, makes
+/// no extra syscalls.
 pub struct NetServer {
     listener: TcpListener,
     addr: SocketAddr,
@@ -816,7 +983,8 @@ pub struct NetServer {
     cfg: NetConfig,
     stats: Arc<NetStats>,
     hub: Arc<MetricsHub>,
-    stop: Arc<AtomicBool>,
+    wake: Arc<Wakeup>,
+    hook: CompletionHook,
 }
 
 impl fmt::Debug for NetServer {
@@ -835,7 +1003,8 @@ impl NetServer {
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] for a bad `cfg`, or
-    /// [`ServeError::Internal`] if binding fails.
+    /// [`ServeError::Internal`] if binding or creating the wake-up pipe
+    /// fails.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         runtime: Arc<ServeRuntime>,
@@ -850,6 +1019,13 @@ impl NetServer {
         let addr = listener
             .local_addr()
             .map_err(|e| ServeError::Internal(format!("local_addr failed: {e}")))?;
+        let wake = Arc::new(
+            Wakeup::new().map_err(|e| ServeError::Internal(format!("wake-up pipe failed: {e}")))?,
+        );
+        let hook: CompletionHook = {
+            let wake = Arc::clone(&wake);
+            Arc::new(move || wake.completed())
+        };
         let stats = Arc::new(NetStats::default());
         let hub = Arc::new(MetricsHub::new(Arc::clone(&runtime)));
         hub.set_net_stats(NetStatsHandle(Arc::clone(&stats)));
@@ -861,7 +1037,8 @@ impl NetServer {
             cfg,
             stats,
             hub,
-            stop: Arc::new(AtomicBool::new(false)),
+            wake,
+            hook,
         })
     }
 
@@ -887,12 +1064,7 @@ impl NetServer {
         &self.hub
     }
 
-    /// A flag that makes [`run`](Self::run) return when set.
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
-    /// Runs the poll loop on a dedicated thread; the returned handle
+    /// Runs the event loop on a dedicated thread; the returned handle
     /// stops and joins it on shutdown/drop.
     ///
     /// # Errors
@@ -902,7 +1074,7 @@ impl NetServer {
         let addr = self.addr;
         let stats = Arc::clone(&self.stats);
         let hub = Arc::clone(&self.hub);
-        let stop = Arc::clone(&self.stop);
+        let wake = Arc::clone(&self.wake);
         let thread = std::thread::Builder::new()
             .name("bsnn-net-frontend".into())
             .spawn(move || self.run())
@@ -911,60 +1083,135 @@ impl NetServer {
             addr,
             stats,
             hub,
-            stop,
+            wake,
             thread: Some(thread),
         })
     }
 
-    /// Runs the poll loop until the [`stop_flag`](Self::stop_flag) is
-    /// set; drains nothing on exit (in-flight requests still complete in
-    /// the runtime, but their responses are not delivered).
-    pub fn run(self) {
+    /// Runs the event loop until the handle stops it; drains nothing on
+    /// exit (in-flight requests still complete in the runtime, but their
+    /// responses are not delivered).
+    fn run(self) {
         let mut conns: Vec<Conn> = Vec::new();
         let mut scratch = vec![0u8; 64 * 1024];
-        while !self.stop.load(Ordering::Relaxed) {
-            let mut progressed = false;
+        let mut fds = Vec::new();
+        while !self.wake.stopping() {
+            let (accepted, accept_failed) = self.accept(&mut conns);
+            if self.pass(&mut conns, &mut scratch) || accepted {
+                continue;
+            }
+            // Nothing to do. Arm the completion hooks, then look once
+            // more for a response that completed before arming and so
+            // sent no ping; one that completes later pings the pipe.
+            // Sockets need no second look: the wait reports them
+            // level-triggered.
+            self.wake.arm();
+            if !conns.iter().any(Conn::has_ready_response) {
+                self.wait(&conns, accept_failed, &mut fds);
+            }
+            self.wake.disarm();
+        }
+    }
 
-            // Accept everything currently queued on the listener.
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        progressed = true;
-                        if conns.len() >= self.cfg.max_connections {
-                            NetStats::bump(&self.stats.refused_connections);
-                            drop(stream);
-                            continue;
-                        }
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        NetStats::bump(&self.stats.accepted);
-                        conns.push(Conn::new(stream));
+    /// Accepts every connection queued on the listener. Returns whether
+    /// one arrived, and whether accepting failed (out of descriptors,
+    /// say), which can leave the listener readable.
+    fn accept(&self, conns: &mut Vec<Conn>) -> (bool, bool) {
+        let mut accepted = false;
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => {
+                    accepted = true;
+                    if conns.len() >= self.cfg.max_connections {
+                        NetStats::bump(&self.stats.refused_connections);
+                        drop(stream);
+                        continue;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    NetStats::bump(&self.stats.accepted);
+                    conns.push(Conn::new(stream));
                 }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return (accepted, false),
+                Err(_) => return (accepted, true),
             }
+        }
+    }
 
-            let now = Instant::now();
-            for conn in conns.iter_mut() {
-                progressed |= self.service_conn(conn, &mut scratch, now);
+    /// One pass: service each connection once and retire finished ones.
+    /// Returns whether anything happened.
+    fn pass(&self, conns: &mut Vec<Conn>, scratch: &mut [u8]) -> bool {
+        let mut progressed = false;
+        let now = Instant::now();
+        for conn in conns.iter_mut() {
+            progressed |= self.service_conn(conn, scratch, now);
+        }
+        conns.retain(|conn| {
+            let done = conn.poisoned && conn.flushed()
+                || conn.read_closed && conn.pending.is_empty() && conn.flushed();
+            if done {
+                NetStats::bump(&self.stats.closed);
             }
-            conns.retain(|conn| {
-                let done = conn.poisoned && conn.flushed()
-                    || conn.read_closed && conn.pending.is_empty() && conn.flushed();
-                if done {
-                    NetStats::bump(&self.stats.closed);
-                }
-                !done
-            });
+            !done
+        });
+        progressed
+    }
 
-            if !progressed {
-                // Idle pass: yield the core to the workers (this matters
-                // on small machines) without adding meaningful latency.
-                std::thread::sleep(Duration::from_micros(200));
+    /// Blocks in `poll(2)` until the listener, a connection or the
+    /// wake-up pipe is ready, or the nearest connection timeout falls
+    /// due.
+    fn wait(&self, conns: &[Conn], accept_failed: bool, fds: &mut Vec<sys::PollFd>) {
+        fds.clear();
+        fds.push(sys::PollFd::new(self.wake.rx.as_raw_fd(), sys::POLLIN));
+        // A failed accept can leave its connection queued and the
+        // listener readable; waiting on it would spin, so retry it on a
+        // short timer instead.
+        let mut due = if accept_failed {
+            Some(Instant::now() + ACCEPT_RETRY)
+        } else {
+            fds.push(sys::PollFd::new(self.listener.as_raw_fd(), sys::POLLIN));
+            None
+        };
+        for conn in conns {
+            let events = conn.interest();
+            if events != 0 {
+                fds.push(sys::PollFd::new(conn.stream.as_raw_fd(), events));
             }
+            if let Some((at, _)) = self.timeout(conn) {
+                due = Some(due.map_or(at, |d| d.min(at)));
+            }
+        }
+        // A timeout fires only once strictly past due, so round up.
+        let timeout_ms = due.map_or(-1, |at| {
+            let ms = at.saturating_duration_since(Instant::now()).as_millis() + 1;
+            ms.min(c_int::MAX as u128) as c_int
+        });
+        // An interrupted or failed wait just starts the next pass.
+        let _ = sys::wait(fds, timeout_ms);
+        if fds[0].revents != 0 {
+            self.wake.drain();
+        }
+    }
+
+    /// When this connection's running timeout falls due, and whether it
+    /// is the read timeout of a partial frame (else the idle timeout).
+    /// A pending response is activity in flight, so only a partial frame
+    /// or full idleness runs a timeout.
+    fn timeout(&self, conn: &Conn) -> Option<(Instant, bool)> {
+        if conn.poisoned {
+            None
+        } else if let Some(since) = conn.partial_since {
+            since
+                .checked_add(self.cfg.read_timeout)
+                .map(|at| (at, true))
+        } else if conn.pending.is_empty() && conn.rbuf.is_empty() {
+            conn.last_activity
+                .checked_add(self.cfg.idle_timeout)
+                .map(|at| (at, false))
+        } else {
+            None
         }
     }
 
@@ -1090,18 +1337,11 @@ impl NetServer {
             conn.wpos = 0;
         }
 
-        // 5. Timeouts. A pending response is activity in flight, so only
-        // the *read* side (partial frame) and full idleness count.
-        if !conn.poisoned {
-            let partial_expired = conn
-                .partial_since
-                .is_some_and(|t| now.duration_since(t) > self.cfg.read_timeout);
-            let idle_expired = conn.pending.is_empty()
-                && conn.rbuf.is_empty()
-                && now.duration_since(conn.last_activity) > self.cfg.idle_timeout;
-            if partial_expired || idle_expired {
+        // 5. Timeouts.
+        if let Some((due, partial)) = self.timeout(conn) {
+            if now > due {
                 NetStats::bump(&self.stats.timeouts);
-                if partial_expired {
+                if partial {
                     encode_response_error(&mut conn.wbuf, 0, "read timeout: partial frame");
                 }
                 conn.poisoned = true;
@@ -1123,7 +1363,12 @@ impl NetServer {
                 request.with_deadline(Instant::now() + Duration::from_micros(wire.deadline_us));
         }
         match self.admission.try_admit(request) {
-            Ok(handle) => conn.pending.push((wire.request_id, handle)),
+            Ok(handle) => {
+                // This pass's collect step finds a response that beat
+                // the hook to the slot.
+                handle.on_ready(Arc::clone(&self.hook));
+                conn.pending.push((wire.request_id, handle));
+            }
             Err(AdmitError::Shed(reason)) => {
                 NetStats::bump(&self.stats.responses_shed);
                 encode_response_shed(&mut conn.wbuf, wire.request_id, reason);
@@ -1162,14 +1407,14 @@ impl NetServer {
     }
 }
 
-/// Owner handle of a spawned [`NetServer`]: stops and joins the poll
+/// Owner handle of a spawned [`NetServer`]: stops and joins the event
 /// loop on [`shutdown`](Self::shutdown) or drop.
 #[derive(Debug)]
 pub struct NetServerHandle {
     addr: SocketAddr,
     stats: Arc<NetStats>,
     hub: Arc<MetricsHub>,
-    stop: Arc<AtomicBool>,
+    wake: Arc<Wakeup>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -1195,7 +1440,7 @@ impl NetServerHandle {
         &self.hub
     }
 
-    /// Stops the poll loop, joins its thread, and returns the final
+    /// Stops the event loop, joins its thread, and returns the final
     /// counters.
     pub fn shutdown(mut self) -> NetStatsSnapshot {
         self.stop_and_join();
@@ -1203,8 +1448,8 @@ impl NetServerHandle {
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(thread) = self.thread.take() {
+            self.wake.stop();
             let _ = thread.join();
         }
     }

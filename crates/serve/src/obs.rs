@@ -79,7 +79,8 @@ pub enum SpanKind {
     /// One sampled lane from batch start to retirement (`a` = steps,
     /// `b` = prediction).
     Service,
-    /// The lane's response slot was fulfilled (instant).
+    /// The lane's response is handed to its slot (instant, recorded
+    /// just before the slot is fulfilled).
     Flush,
 }
 

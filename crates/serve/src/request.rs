@@ -194,18 +194,42 @@ pub struct InferResponse {
 /// Result type delivered through a [`ResponseHandle`].
 pub type InferResult = Result<InferResponse, ServeError>;
 
+/// A crate-private callback a [`ResponseSlot`] runs once, right after
+/// its response is delivered (see [`ResponseHandle::on_ready`]).
+pub(crate) type CompletionHook = Arc<dyn Fn() + Send + Sync>;
+
 /// One-shot slot a worker fulfills and a client waits on.
 #[derive(Debug, Default)]
 pub(crate) struct ResponseSlot {
-    value: Mutex<Option<InferResult>>,
+    state: Mutex<SlotState>,
     ready: Condvar,
+}
+
+#[derive(Default)]
+struct SlotState {
+    value: Option<InferResult>,
+    on_ready: Option<CompletionHook>,
+}
+
+impl std::fmt::Debug for SlotState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SlotState")
+            .field("value", &self.value)
+            .field("on_ready", &self.on_ready.is_some())
+            .finish()
+    }
 }
 
 impl ResponseSlot {
     pub(crate) fn fulfill(&self, result: InferResult) {
-        let mut guard = self.value.lock().expect("response slot poisoned");
-        *guard = Some(result);
+        let mut guard = self.state.lock().expect("response slot poisoned");
+        guard.value = Some(result);
+        let hook = guard.on_ready.take();
         self.ready.notify_all();
+        drop(guard);
+        if let Some(hook) = hook {
+            hook();
+        }
     }
 
     /// Fulfills only if no response was delivered yet — the drop-guard
@@ -213,11 +237,16 @@ impl ResponseSlot {
     /// (e.g. a worker panicked mid-batch). Never panics: it runs during
     /// unwinding, where a second panic would abort.
     pub(crate) fn fulfill_if_empty(&self, result: InferResult) {
-        if let Ok(mut guard) = self.value.lock() {
-            if guard.is_none() {
-                *guard = Some(result);
+        let hook = match self.state.lock() {
+            Ok(mut guard) if guard.value.is_none() => {
+                guard.value = Some(result);
                 self.ready.notify_all();
+                guard.on_ready.take()
             }
+            _ => None,
+        };
+        if let Some(hook) = hook {
+            hook();
         }
     }
 }
@@ -234,20 +263,32 @@ impl ResponseHandle {
         ResponseHandle { slot }
     }
 
+    /// Runs `hook` once when the response is delivered. A hook installed
+    /// after delivery never runs, but [`is_ready`](Self::is_ready) is
+    /// already `true` by then: the slot's lock orders the two, so a
+    /// caller that installs, then checks, misses no completion.
+    pub(crate) fn on_ready(&self, hook: CompletionHook) {
+        let mut state = self.slot.state.lock().expect("response slot poisoned");
+        if state.value.is_none() {
+            state.on_ready = Some(hook);
+        }
+    }
+
     /// Whether the response has already been delivered.
     pub fn is_ready(&self) -> bool {
         self.slot
-            .value
+            .state
             .lock()
             .expect("response slot poisoned")
+            .value
             .is_some()
     }
 
     /// Blocks until the response arrives and returns it.
     pub fn wait(self) -> InferResult {
-        let mut guard = self.slot.value.lock().expect("response slot poisoned");
+        let mut guard = self.slot.state.lock().expect("response slot poisoned");
         loop {
-            if let Some(result) = guard.take() {
+            if let Some(result) = guard.value.take() {
                 return result;
             }
             guard = self.slot.ready.wait(guard).expect("response slot poisoned");
@@ -262,9 +303,9 @@ impl ResponseHandle {
     /// Returns `Err(self)` on timeout.
     pub fn wait_timeout(self, timeout: Duration) -> Result<InferResult, ResponseHandle> {
         let deadline = std::time::Instant::now() + timeout;
-        let mut guard = self.slot.value.lock().expect("response slot poisoned");
+        let mut guard = self.slot.state.lock().expect("response slot poisoned");
         loop {
-            if let Some(result) = guard.take() {
+            if let Some(result) = guard.value.take() {
                 return Ok(result);
             }
             // Condvars wake spuriously; wait against the deadline, not a
@@ -286,6 +327,7 @@ impl ResponseHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn policy_horizons_and_validation() {
@@ -340,5 +382,61 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         slot.fulfill(Err(ServeError::ShuttingDown));
         assert_eq!(waiter.join().unwrap(), Err(ServeError::ShuttingDown));
+    }
+
+    /// A hook that counts how often it ran.
+    fn counting_hook() -> (CompletionHook, Arc<AtomicUsize>) {
+        let count = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&count);
+        let hook: CompletionHook = Arc::new(move || {
+            seen.fetch_add(1, Ordering::SeqCst);
+        });
+        (hook, count)
+    }
+
+    #[test]
+    fn completion_hook_installed_before_fulfill_fires_once() {
+        let slot = Arc::new(ResponseSlot::default());
+        let handle = ResponseHandle::new(Arc::clone(&slot));
+        let (hook, count) = counting_hook();
+        handle.on_ready(hook);
+        assert_eq!(count.load(Ordering::SeqCst), 0);
+        slot.fulfill(Err(ServeError::QueueFull));
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        // The drop-guard finds the slot full and neither overwrites the
+        // response nor runs the hook a second time.
+        slot.fulfill_if_empty(Err(ServeError::ShuttingDown));
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        assert_eq!(handle.wait(), Err(ServeError::QueueFull));
+    }
+
+    #[test]
+    fn completion_hook_installed_after_fulfill_never_fires() {
+        // The front-end installs the hook after the request is already
+        // queued, so a fast worker can win the race. It must then find
+        // the response ready when it scans, and the late hook stays
+        // silent.
+        let slot = Arc::new(ResponseSlot::default());
+        let handle = ResponseHandle::new(Arc::clone(&slot));
+        slot.fulfill(Err(ServeError::QueueFull));
+        let (hook, count) = counting_hook();
+        handle.on_ready(hook);
+        assert!(handle.is_ready());
+        slot.fulfill_if_empty(Err(ServeError::ShuttingDown));
+        assert_eq!(count.load(Ordering::SeqCst), 0);
+        assert_eq!(handle.wait(), Err(ServeError::QueueFull));
+    }
+
+    #[test]
+    fn drop_guard_fulfill_fires_the_completion_hook() {
+        // A panicking worker leaves only the drop-guard behind; its
+        // ERROR reply must wake the front-end like any other.
+        let slot = Arc::new(ResponseSlot::default());
+        let handle = ResponseHandle::new(Arc::clone(&slot));
+        let (hook, count) = counting_hook();
+        handle.on_ready(hook);
+        slot.fulfill_if_empty(Err(ServeError::Internal("dropped".into())));
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        assert!(matches!(handle.wait(), Err(ServeError::Internal(_))));
     }
 }

@@ -309,6 +309,12 @@ fn serve_lockstep_chunk(
                         outcome.prediction as u64,
                     );
                 }
+                // Recorded before the slot is filled: the front-end sends
+                // the reply as soon as it is, and a client that has its
+                // reply must find the whole lifecycle in the trace.
+                if let Some(token) = token {
+                    ctx.tracer.instant(SpanKind::Flush, ctx.tid, token, 0);
+                }
                 queued.fulfill(
                     metrics,
                     Ok(InferResponse {
@@ -324,9 +330,6 @@ fn serve_lockstep_chunk(
                         degraded: degraded[lane],
                     }),
                 );
-                if let Some(token) = token {
-                    ctx.tracer.instant(SpanKind::Flush, ctx.tid, token, 0);
-                }
             }
         });
     // One batch-formation span per lockstep run with at least one

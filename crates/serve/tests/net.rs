@@ -1,10 +1,11 @@
 //! Integration tests of the networked front-end: end-to-end round trips,
 //! wire-protocol robustness (truncated/oversized/garbage frames, slow
-//! writers, dropped connections), connection isolation, and load
-//! shedding over TCP.
+//! writers and readers, dropped connections), connection isolation, the
+//! event loop's wake-ups (timeouts, shutdown), and load shedding over
+//! TCP.
 //!
 //! These use a tiny hand-built 2-class network instead of a trained
-//! model — the tests exercise the wire and the poll loop, not inference
+//! model — the tests exercise the wire and the event loop, not inference
 //! quality, and must stay fast.
 
 use bsnn_core::coding::CodingScheme;
@@ -12,7 +13,8 @@ use bsnn_core::layer::{SpikingLayer, ThresholdPolicy};
 use bsnn_core::synapse::Synapse;
 use bsnn_core::SpikingNetwork;
 use bsnn_serve::net::{
-    decode_response, encode_request, FrameReader, NetServerHandle, KIND_REQUEST,
+    decode_response, encode_request, encode_stats_request, FrameReader, NetServerHandle,
+    KIND_REQUEST, KIND_STATS_REPLY, STATS_METRICS,
 };
 use bsnn_serve::{
     run_open_loop, ArrivalProcess, ExitPolicy, ModelRegistry, NetClient, NetConfig, NetResponse,
@@ -144,6 +146,135 @@ fn slow_writer_times_out_without_disturbing_others() {
     let stats = handle.shutdown();
     assert_eq!(stats.timeouts, 1);
     assert_eq!(stats.protocol_errors, 0);
+}
+
+/// With no other traffic to wake the event loop, a lone stalled partial
+/// frame still gets its read-timeout ERROR on schedule: the loop's wait
+/// is bounded by the connections' deadlines.
+#[test]
+fn lone_partial_frame_times_out_on_schedule() {
+    let (cfg, mut net_cfg) = defaults();
+    let read_timeout = Duration::from_millis(200);
+    net_cfg.read_timeout = read_timeout;
+    let (handle, addr) = start_server(cfg, net_cfg);
+
+    let mut slow = TcpStream::connect(addr).unwrap();
+    // Far beyond schedule, far below the 60 s idle timeout.
+    slow.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut frame = Vec::new();
+    encode_request(&mut frame, 9, MODEL, &policy(), &[1.0, 0.0]).unwrap();
+    let started = Instant::now();
+    slow.write_all(&frame[..frame.len() / 2]).unwrap();
+
+    let mut frames = FrameReader::new(slow, 1 << 20);
+    let payload = frames
+        .next_frame()
+        .expect("the read-timeout ERROR frame never arrived")
+        .expect("an ERROR frame before close");
+    let waited = started.elapsed();
+    match decode_response(&payload).unwrap() {
+        NetResponse::Error { message, .. } => {
+            assert!(message.contains("timeout"), "message: {message}")
+        }
+        other => panic!("expected timeout ERROR, got {other:?}"),
+    }
+    assert!(waited >= read_timeout, "fired early, after {waited:?}");
+    assert!(
+        waited < read_timeout + Duration::from_secs(1),
+        "fired {waited:?} after the partial frame, read timeout {read_timeout:?}"
+    );
+    assert_eq!(handle.shutdown().timeouts, 1);
+}
+
+/// A client that pipelines requests but reads nothing backs its replies
+/// up well past the loopback socket buffers. Other connections keep
+/// being served meanwhile, and once the client reads, the event loop
+/// waits for its socket to drain rather than for a timeout: every reply
+/// arrives promptly.
+#[test]
+fn slow_reader_backlog_flushes_once_it_reads() {
+    let (cfg, net_cfg) = defaults();
+    let (handle, addr) = start_server(cfg, net_cfg);
+
+    // Size the backlog from one reply: 16 MiB of metrics dumps.
+    let mut good = NetClient::connect(addr).unwrap();
+    let reply_len = good.dump_metrics().unwrap().len().max(1);
+    let replies = (16 << 20) / reply_len + 1;
+    let frames_before = handle.stats().frames_in;
+
+    let mut slow = TcpStream::connect(addr).unwrap();
+    let mut requests = Vec::new();
+    for _ in 0..replies {
+        encode_stats_request(&mut requests, STATS_METRICS);
+    }
+    slow.write_all(&requests).unwrap();
+    // Once every request is decoded, its reply is in the server's
+    // write buffer, mostly unsent.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.stats().frames_in < frames_before + replies as u64 {
+        assert!(Instant::now() < deadline, "server stopped decoding");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // The blocked writer does not hold up anyone else.
+    for _ in 0..5 {
+        match good.call(MODEL, &policy(), &[1.0, 0.0]).unwrap() {
+            NetResponse::Ok { .. } => {}
+            other => panic!("expected OK beside the slow reader, got {other:?}"),
+        }
+    }
+    drop(good);
+    // Let the loop settle into its wait with the backlog unflushed.
+    std::thread::sleep(Duration::from_millis(100));
+    let sent_before = handle.stats().bytes_out;
+
+    // Far below the 60 s idle timeout that would otherwise wake it.
+    slow.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let started = Instant::now();
+    let mut frames = FrameReader::new(slow, 1 << 24);
+    for i in 0..replies {
+        let payload = frames
+            .next_frame()
+            .unwrap_or_else(|e| panic!("reply {i} of {replies} stalled: {e}"))
+            .unwrap_or_else(|| panic!("EOF after {i} of {replies} replies"));
+        assert_eq!(payload.first(), Some(&KIND_STATS_REPLY));
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(10), "backlog took {took:?}");
+    let stats = handle.shutdown();
+    assert!(
+        stats.bytes_out - sent_before > 4 << 20,
+        "only {} bytes were still queued when the client began to read; \
+         the backlog must be well past what the socket buffers hold",
+        stats.bytes_out - sent_before
+    );
+}
+
+/// Stopping goes through the wake-up pipe: shutting down an idle server
+/// with an idle connection open returns at once, not at that
+/// connection's idle timeout. Joined from a helper thread so a
+/// regression fails instead of hanging.
+#[test]
+fn shutdown_of_an_idle_server_returns_promptly() {
+    let (cfg, net_cfg) = defaults();
+    let (handle, addr) = start_server(cfg, net_cfg);
+    let _idle = TcpStream::connect(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while handle.stats().accepted < 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Let the loop settle into its wait.
+    std::thread::sleep(Duration::from_millis(50));
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let _ = done_tx.send(handle.shutdown());
+    });
+    let stats = done_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("shutdown did not return within 1 s");
+    stopper.join().expect("shutdown thread panicked");
+    assert_eq!(stats.accepted, 1);
 }
 
 /// A header declaring an oversized payload poisons the connection
