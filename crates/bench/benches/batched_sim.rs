@@ -11,16 +11,26 @@
 //! honest counterpoint: a small dense layer under sparse spike traffic
 //! is event-skip-bound and lands at ~parity, because a lockstep batch
 //! must touch every input that is live in *any* lane.
+//!
+//! The `conv_kernel` group times the kernel alone: one
+//! `Synapse::accumulate_batch` call on VGG-small's two costliest conv
+//! shapes, at lockstep widths 1 (the scalar scatter), 4 and 16 (the
+//! register-blocked output-stationary kernel).
 
 use bsnn_core::batch::{BatchedNetwork, BatchedStepwiseInference};
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::convert::{convert, ConversionConfig};
 use bsnn_core::simulator::{EvalConfig, StepwiseInference};
+use bsnn_core::synapse::{Chw, Synapse};
 use bsnn_core::SpikingNetwork;
 use bsnn_data::SynthSpec;
 use bsnn_dnn::models;
 use bsnn_dnn::train::{TrainConfig, Trainer};
+use bsnn_tensor::conv::Conv2dGeometry;
+use bsnn_tensor::init::uniform;
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 const STEPS: usize = 64;
@@ -120,5 +130,44 @@ fn bench_batched_sim(c: &mut Criterion) {
     bench_one_workload(c, "cnn", cnn, cnn_images, cnn_scheme);
 }
 
-criterion_group!(benches, bench_batched_sim);
+/// One conv stage's `accumulate_batch` per iteration (PSP zeroed first,
+/// as the engine does every step): VGG-small's stage 1 (32→32 channels,
+/// 16×16) and stage 4 (64→64, 8×8), 3×3 kernels with pad 1, on a seeded
+/// input where ~25% of lane values spike.
+fn bench_conv_kernel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("conv_kernel");
+    group.sample_size(10);
+    for (stage, c_in, c_out, hw) in [("stage1", 32, 32, 16), ("stage4", 64, 64, 8)] {
+        let mut rng = StdRng::seed_from_u64(41);
+        let syn = Synapse::Conv {
+            weight: uniform(&mut rng, &[c_out, c_in, 3, 3], -0.1, 0.1),
+            geom: Conv2dGeometry::square(3, 1, 1),
+            in_shape: Chw::new(c_in, hw, hw),
+            out_shape: Chw::new(c_out, hw, hw),
+        };
+        for width in [1usize, 4, 16] {
+            let input: Vec<f32> = (0..syn.input_len() * width)
+                .map(|_| {
+                    if rng.gen_range(0.0..1.0f32) < 0.25 {
+                        0.125
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let mut psp = vec![0.0f32; syn.output_len() * width];
+            group.bench_function(format!("{stage}/w{width}"), |b| {
+                b.iter(|| {
+                    psp.fill(0.0);
+                    syn.accumulate_batch(&input, &mut psp, width)
+                        .expect("shapes");
+                    black_box(psp[0])
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_conv_kernel, bench_batched_sim);
 criterion_main!(benches);

@@ -140,12 +140,13 @@ fn autotune_cache_path(
 ) -> Option<PathBuf> {
     let mut model_bytes = Vec::new();
     bsnn_core::snapshot::save_network(net, &mut model_bytes).ok()?;
-    // "at3" salts the key with the cache-entry format generation: bump
+    // "at4" salts the key with the cache-entry format generation: bump
     // it when the probe or the kernels change meaningfully, so stale
     // measurements from older binaries are not reused (at3 = int8 quant
-    // kernels + quant_thresholds/quant_eligible lines + accuracy gate).
+    // kernels + quant_thresholds/quant_eligible lines + accuracy gate;
+    // at4 = output-stationary conv kernel at widths 4, 8 and 16).
     let tag = format!(
-        "at3|{salt}|{scheme}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
+        "at4|{salt}|{scheme}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
         cfg.widths,
         cfg.steps,
         cfg.reps,

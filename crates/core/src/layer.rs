@@ -116,7 +116,8 @@ impl SpikingLayer {
     ///
     /// # Errors
     ///
-    /// Returns [`SnnError::InvalidConfig`] for invalid policies or a bias
+    /// Returns [`SnnError::InvalidConfig`] for invalid policies, a conv
+    /// or pool synapse whose shapes disagree with its geometry, or a bias
     /// length that disagrees with the synapse output size.
     pub fn new(
         synapse: Synapse,
@@ -124,6 +125,7 @@ impl SpikingLayer {
         policy: ThresholdPolicy,
     ) -> Result<Self, SnnError> {
         policy.validate()?;
+        synapse.validate()?;
         let n = synapse.output_len();
         if let Some(b) = &bias {
             if b.len() != n {
@@ -346,6 +348,8 @@ impl SpikingLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synapse::Chw;
+    use bsnn_tensor::conv::Conv2dGeometry;
     use bsnn_tensor::Tensor;
 
     fn identity_layer(n: usize, policy: ThresholdPolicy) -> SpikingLayer {
@@ -663,6 +667,37 @@ mod tests {
         assert!(
             SpikingLayer::new(syn, Some(vec![0.0]), ThresholdPolicy::Fixed { vth: 1.0 }).is_err()
         );
+    }
+
+    #[test]
+    fn rejects_conv_and_pool_shapes_that_disagree_with_geometry() {
+        let geom = Conv2dGeometry::square(3, 1, 1);
+        let conv = |weight: &[usize], out: Chw| Synapse::Conv {
+            weight: Tensor::zeros(weight),
+            geom,
+            in_shape: Chw::new(1, 4, 4),
+            out_shape: out,
+        };
+        let pool = |out: Chw| Synapse::Pool {
+            geom: Conv2dGeometry::square(2, 2, 0),
+            in_shape: Chw::new(2, 4, 4),
+            out_shape: out,
+            scale: 1.0,
+        };
+        let policy = ThresholdPolicy::Fixed { vth: 1.0 };
+        let build = |syn| SpikingLayer::new(syn, None, policy);
+        assert!(build(conv(&[2, 1, 3, 3], Chw::new(2, 4, 4))).is_ok());
+        assert!(build(pool(Chw::new(2, 2, 2))).is_ok());
+        for bad in [
+            conv(&[2, 1, 1, 1], Chw::new(2, 4, 4)), // kernel ≠ geometry
+            conv(&[3, 1, 3, 3], Chw::new(2, 4, 4)), // out channels
+            conv(&[2, 2, 3, 3], Chw::new(2, 4, 4)), // in channels
+            conv(&[2, 1, 3, 3], Chw::new(2, 4, 3)), // spatial
+            pool(Chw::new(3, 2, 2)),                // channel count
+            pool(Chw::new(2, 2, 1)),                // spatial
+        ] {
+            assert!(matches!(build(bad), Err(SnnError::InvalidConfig(_))));
+        }
     }
 
     #[test]

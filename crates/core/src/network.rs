@@ -33,13 +33,15 @@ impl SpikingNetwork {
     /// # Errors
     ///
     /// Returns [`SnnError::InvalidConfig`] when consecutive stage sizes
-    /// disagree or when the output bias length is wrong.
+    /// disagree, when a conv or pool output synapse's shapes disagree
+    /// with its geometry, or when the output bias length is wrong.
     pub fn new(
         input_len: usize,
         layers: Vec<SpikingLayer>,
         output_synapse: Synapse,
         output_bias: Option<Vec<f32>>,
     ) -> Result<Self, SnnError> {
+        output_synapse.validate()?;
         let mut prev = input_len;
         for (i, l) in layers.iter().enumerate() {
             if l.input_len() != prev {

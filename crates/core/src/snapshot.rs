@@ -983,6 +983,45 @@ mod tests {
     }
 
     #[test]
+    fn rejects_conv_weight_that_disagrees_with_geometry() {
+        // A [2, 1, 1, 1] weight under a 3×3 geometry: without the
+        // construction check this loads and then panics on first use.
+        let bad = Synapse::Conv {
+            weight: Tensor::zeros(&[2, 1, 1, 1]),
+            geom: Conv2dGeometry::square(3, 1, 1),
+            in_shape: Chw::new(1, 4, 4),
+            out_shape: Chw::new(2, 4, 4),
+        };
+        let output = Synapse::Dense {
+            weight: Tensor::zeros(&[32, 2]),
+        };
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        write_u32(&mut buf, VERSION).unwrap();
+        write_u32(&mut buf, 0).unwrap(); // preferred batch
+        for _ in 0..3 {
+            // density, packed and quant crossovers
+            write_f32_slice(&mut buf, &[]).unwrap();
+        }
+        write_bool_slice(&mut buf, &[]).unwrap();
+        write_quant_tables(&mut buf, &[]).unwrap();
+        write_u32(&mut buf, 16).unwrap(); // input length
+        write_u32(&mut buf, 1).unwrap(); // hidden stages
+        write_policy(&mut buf, &ThresholdPolicy::Fixed { vth: 0.5 }).unwrap();
+        write_u32(&mut buf, 0).unwrap(); // reset by subtraction
+        write_u32(&mut buf, 0).unwrap(); // no bias
+        write_synapse(&mut buf, &bad).unwrap();
+        write_synapse(&mut buf, &output).unwrap();
+        write_u32(&mut buf, 0).unwrap(); // no output bias
+        let digest = fnv1a(&buf);
+        buf.extend_from_slice(&digest.to_le_bytes());
+        assert!(matches!(
+            load_network(buf.as_slice()).unwrap_err(),
+            SnapshotError::Invalid(SnnError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
     fn rejects_truncated_stream() {
         let (net, _, _) = sample_network(HiddenCoding::Rate);
         let mut buf = Vec::new();

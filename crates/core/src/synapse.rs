@@ -1,11 +1,17 @@
 //! Synaptic weight stages connecting spiking layers.
 //!
 //! A [`Synapse`] turns the presynaptic layer's spike-magnitude vector into
-//! per-neuron post-synaptic potentials (PSPs). Propagation exploits spike
-//! sparsity: only nonzero input entries contribute, so the cost per time
-//! step scales with the number of spikes rather than the layer size —
+//! per-neuron post-synaptic potentials (PSPs). The scalar path exploits
+//! spike sparsity: only nonzero input entries contribute, so the cost per
+//! time step scales with the number of spikes rather than the layer size —
 //! exactly the event-driven advantage the paper's energy argument rests
 //! on.
+//!
+//! The lockstep kernels run several images at once. Most skip an input
+//! only when all of its lanes are silent; the conv kernel at 4, 8 and 16
+//! lanes skips nothing and keeps blocks of outputs in registers instead
+//! (output-stationary). Every `f32` kernel matches the scalar path bit
+//! for bit under the condition stated on [`Synapse::accumulate_batch`].
 
 use crate::SnnError;
 use bsnn_tensor::conv::Conv2dGeometry;
@@ -56,6 +62,94 @@ fn lane_fma(p: &mut [f32], lanes: &[f32], w: f32) {
 fn lane_fma(p: &mut [f32], lanes: &[f32], w: f32) {
     for (pb, &sb) in p.iter_mut().zip(lanes) {
         *pb += sb * w;
+    }
+}
+
+/// Four lanes of a register-held accumulator in [`conv_gather`]: one
+/// SSE vector on x86-64. [`Quad::mul_add`] is a separate `_mm_mul_ps`
+/// and `_mm_add_ps`, so it rounds exactly like [`lane_fma`] and the
+/// scalar `p += s * w`.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Quad(core::arch::x86_64::__m128);
+
+#[cfg(target_arch = "x86_64")]
+impl Quad {
+    /// Reads the four floats at `p`.
+    ///
+    /// # Safety
+    ///
+    /// `[p, p + 4)` must be in bounds of one live allocation.
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        Quad(core::arch::x86_64::_mm_loadu_ps(p))
+    }
+
+    /// Writes the four floats at `p`.
+    ///
+    /// # Safety
+    ///
+    /// `[p, p + 4)` must be in bounds of one live, writable allocation.
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        core::arch::x86_64::_mm_storeu_ps(p, self.0)
+    }
+
+    #[inline(always)]
+    fn splat(w: f32) -> Self {
+        // SAFETY: SSE is baseline on x86-64.
+        Quad(unsafe { core::arch::x86_64::_mm_set1_ps(w) })
+    }
+
+    /// `self + x · w` per lane, rounded after the multiply and the add.
+    #[inline(always)]
+    fn mul_add(self, x: Quad, w: Quad) -> Self {
+        use core::arch::x86_64::{_mm_add_ps, _mm_mul_ps};
+        // SAFETY: SSE is baseline on x86-64.
+        Quad(unsafe { _mm_add_ps(self.0, _mm_mul_ps(x.0, w.0)) })
+    }
+}
+
+/// Portable fallback: a plain four-float array (auto-vectorized).
+#[cfg(not(target_arch = "x86_64"))]
+#[derive(Clone, Copy)]
+struct Quad([f32; 4]);
+
+#[cfg(not(target_arch = "x86_64"))]
+impl Quad {
+    /// Reads the four floats at `p`.
+    ///
+    /// # Safety
+    ///
+    /// `[p, p + 4)` must be in bounds of one live allocation.
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        Quad(p.cast::<[f32; 4]>().read_unaligned())
+    }
+
+    /// Writes the four floats at `p`.
+    ///
+    /// # Safety
+    ///
+    /// `[p, p + 4)` must be in bounds of one live, writable allocation.
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        p.cast::<[f32; 4]>().write_unaligned(self.0)
+    }
+
+    #[inline(always)]
+    fn splat(w: f32) -> Self {
+        Quad([w; 4])
+    }
+
+    /// `self + x · w` per lane, rounded after the multiply and the add.
+    #[inline(always)]
+    fn mul_add(self, x: Quad, w: Quad) -> Self {
+        let mut r = self.0;
+        for (r, (&x, &w)) in r.iter_mut().zip(x.0.iter().zip(&w.0)) {
+            *r += x * w;
+        }
+        Quad(r)
     }
 }
 
@@ -371,6 +465,60 @@ pub enum Synapse {
 }
 
 impl Synapse {
+    /// Checks that a conv or pool stage's shapes agree with its
+    /// geometry: a `Conv` weight is `[out.c, in.c, kh, kw]`, a `Pool`
+    /// keeps its channel count, and both produce
+    /// `(out.h, out.w) == geom.output_hw(in.h, in.w)`. Dense stages have
+    /// no separate shape to disagree with.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnnError::InvalidConfig`] naming the first mismatch.
+    pub(crate) fn validate(&self) -> Result<(), SnnError> {
+        let (geom, in_shape, out_shape) = match self {
+            Synapse::Dense { .. } => return Ok(()),
+            Synapse::Conv {
+                weight,
+                geom,
+                in_shape,
+                out_shape,
+            } => {
+                let want = [out_shape.c, in_shape.c, geom.kernel_h, geom.kernel_w];
+                if weight.shape() != want {
+                    return Err(SnnError::InvalidConfig(format!(
+                        "conv weight shape {:?} is not [out.c, in.c, kh, kw] = {want:?}",
+                        weight.shape()
+                    )));
+                }
+                (geom, in_shape, out_shape)
+            }
+            Synapse::Pool {
+                geom,
+                in_shape,
+                out_shape,
+                ..
+            } => {
+                if out_shape.c != in_shape.c {
+                    return Err(SnnError::InvalidConfig(format!(
+                        "pool maps {} channels to {}",
+                        in_shape.c, out_shape.c
+                    )));
+                }
+                (geom, in_shape, out_shape)
+            }
+        };
+        let (oh, ow) = geom
+            .output_hw(in_shape.h, in_shape.w)
+            .map_err(|e| SnnError::InvalidConfig(format!("stage geometry: {e}")))?;
+        if (oh, ow) != (out_shape.h, out_shape.w) {
+            return Err(SnnError::InvalidConfig(format!(
+                "output is {}x{} but the geometry maps a {}x{} input to {oh}x{ow}",
+                out_shape.h, out_shape.w, in_shape.h, in_shape.w
+            )));
+        }
+        Ok(())
+    }
+
     /// Number of presynaptic neurons this synapse reads.
     pub fn input_len(&self) -> usize {
         match self {
@@ -406,11 +554,31 @@ impl Synapse {
     /// so lane `b` of neuron `i` lives at `i * batch + b`).
     ///
     /// The innermost loop of every kernel runs over the contiguous batch
-    /// axis, which LLVM auto-vectorizes; weights are loaded once per
-    /// batch instead of once per image. An input neuron is skipped only
-    /// when *all* of its lanes are zero, so per-lane results are
-    /// identical to `batch` independent [`Self::accumulate`] calls (the
-    /// extra lanes contribute exact `±0.0` terms).
+    /// axis; weights are loaded once per batch instead of once per image.
+    /// The kernel depends on the stage and the width alone:
+    ///
+    /// - dense and pool stages skip an input neuron only when *all* of
+    ///   its lanes are zero;
+    /// - conv stages at widths 4, 8 and 16 run the output-stationary
+    ///   kernel: a block of output channels' PSP lanes stays in
+    ///   registers while every tap `(ci, ky, kx)` is added in ascending
+    ///   order, and no input pixel is skipped;
+    /// - conv stages at width 1 (the scalar path, which the equivalence
+    ///   suites use as their reference), width 2 and every other width
+    ///   run the input-driven scatter, which skips all-zero pixels.
+    ///
+    /// Every output lane receives the scalar path's terms in the scalar
+    /// order, each rounded by a separate multiply and add; where the
+    /// scalar path skips a zero input, a lockstep kernel may add an
+    /// exact `±0.0` term instead. Those terms change nothing unless the
+    /// accumulator is `−0.0` (`−0.0 + +0.0 = +0.0`) or the weight is not
+    /// finite (`0 · ∞` is NaN). So lane `b` equals an independent
+    /// [`Self::accumulate`] call on image `b`, bit for bit, whenever no
+    /// `psp` entry starts at `−0.0` and the weights are finite: a sum
+    /// that starts at `+0.0` or at a nonzero value never becomes `−0.0`.
+    /// The lockstep engine and the scalar layer both zero the PSP to
+    /// `+0.0` before every pass, so the first condition always holds
+    /// there.
     ///
     /// # Errors
     ///
@@ -472,9 +640,9 @@ impl Synapse {
                 };
                 match batch {
                     2 => conv_scatter::<Fixed<2>>(batch, input, psp, &plan),
-                    4 => conv_scatter::<Fixed<4>>(batch, input, psp, &plan),
-                    8 => conv_scatter::<Fixed<8>>(batch, input, psp, &plan),
-                    16 => conv_scatter::<Fixed<16>>(batch, input, psp, &plan),
+                    4 => conv_gather::<1, 8>(input, psp, &plan),
+                    8 => conv_gather::<2, 4>(input, psp, &plan),
+                    16 => conv_gather::<4, 2>(input, psp, &plan),
                     _ => conv_scatter::<Dynamic>(batch, input, psp, &plan),
                 }
             }
@@ -1113,8 +1281,11 @@ impl LaneFma for Dynamic {
     }
 }
 
-/// The conv scatter kernel: for every input pixel with at least one
-/// live lane, accumulate `s·w` into every output it feeds. The valid
+/// The conv scatter kernel for width 1, width 2 and runtime widths
+/// (4, 8 and 16 run [`conv_gather`]). At width 1 it is the scalar
+/// engine's kernel, so it is the reference the lockstep kernels are
+/// checked against. For every input pixel with at least one live lane,
+/// it accumulates `s·w` into every output the pixel feeds. The valid
 /// `(ky → oy, kx → ox)` kernel ranges are hoisted out of the inner
 /// loops (see [`valid_kernel_range`]); the innermost loop is the
 /// contiguous lane axis.
@@ -1148,6 +1319,160 @@ fn conv_scatter<L: LaneFma>(batch: usize, input: &[f32], psp: &mut [f32], plan: 
                             let o = ((co * oh + oy) * ow + ox) * batch;
                             L::fma(&mut psp[o..o + batch], lanes, wv);
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The taps `k in first..end` of one output coordinate `o` that land
+/// inside the input, `o·stride + k − pad ∈ 0..in_len`, and the input
+/// coordinate of `first` (out of range when the range is empty).
+#[inline(always)]
+fn gather_tap_range(
+    o: usize,
+    stride: usize,
+    pad: usize,
+    kernel: usize,
+    in_len: usize,
+) -> (usize, usize, usize) {
+    let Some(start) = o.checked_mul(stride) else {
+        return (0, 0, 0);
+    };
+    let first = pad.saturating_sub(start);
+    let end = in_len.saturating_add(pad).saturating_sub(start).min(kernel);
+    (first, end.max(first), start + first - pad)
+}
+
+/// The output-stationary conv kernel for lockstep widths `4·Q` = 4, 8
+/// and 16. For each block of `CB` output channels (8, 4 or 2, so the
+/// `CB·Q = 8` accumulators and the input quads fill the 16 SSE
+/// registers) and each output pixel, it loads the pixel's PSP lane
+/// blocks into registers once, adds `lanes × w` over the taps
+/// `(ci, ky, kx)` in ascending order — each input lane block loaded
+/// once per tap and fed to the whole channel block — and stores the
+/// block once. Output channels past the last full block run one at a
+/// time.
+///
+/// Ascending `(ci, ky, kx)` is ascending input pixel, so every output's
+/// terms arrive in [`conv_scatter`]'s order, each rounded by a separate
+/// multiply and add. Unlike the scatter, no pixel is skipped for having
+/// all lanes zero: a dead pixel adds exact `±0.0` terms, which change
+/// no accumulator that is not `−0.0` (the condition under which this
+/// matches the scalar engine is spelled out on
+/// [`Synapse::accumulate_batch`]). A zero test per pixel cost more
+/// than the terms it saves at these widths.
+///
+/// # Panics
+///
+/// When `input`, `psp` or the weights are shorter than the plan's
+/// shapes say. The `unsafe` indexing below rests on these checks.
+fn conv_gather<const Q: usize, const CB: usize>(
+    input: &[f32],
+    psp: &mut [f32],
+    plan: &ScatterPlan<'_>,
+) {
+    let lanes = 4 * Q;
+    let (kh, kw) = (plan.geom.kernel_h, plan.geom.kernel_w);
+    let fits = |dims: [usize; 4], len: usize| {
+        dims.iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .is_some_and(|n| n <= len)
+    };
+    assert!(
+        fits([plan.c_in, plan.ih, plan.iw, lanes], input.len()),
+        "conv input shorter than its shape"
+    );
+    assert!(
+        fits([plan.c_out, plan.oh, plan.ow, lanes], psp.len()),
+        "conv PSP shorter than its shape"
+    );
+    assert!(
+        fits([plan.c_out, plan.c_in, kh, kw], plan.w.len()),
+        "conv weights shorter than their shape"
+    );
+    // With no output channel the asserts leave `c_in·kh·kw` and
+    // `oh·ow·4Q` unchecked, and there is nothing to do.
+    if plan.c_out == 0 {
+        return;
+    }
+    let full = plan.c_out - plan.c_out % CB;
+    // SAFETY: the asserts above bound all three buffers by the plan's
+    // shapes without overflow, and both channel ranges lie in
+    // `0..c_out` with lengths divisible by their block sizes.
+    unsafe {
+        gather_channels::<Q, CB>(input, psp, plan, 0..full);
+        gather_channels::<Q, 1>(input, psp, plan, full..plan.c_out);
+    }
+}
+
+/// [`conv_gather`]'s loop nest over the output channels `channels`, in
+/// blocks of `CB`.
+///
+/// # Safety
+///
+/// `input`, `psp` and `plan.w` must hold at least `c_in·ih·iw·4Q`,
+/// `c_out·oh·ow·4Q` and `c_out·c_in·kh·kw` floats, and `channels` must
+/// lie inside `0..c_out` with a length divisible by `CB`.
+#[inline(always)]
+unsafe fn gather_channels<const Q: usize, const CB: usize>(
+    input: &[f32],
+    psp: &mut [f32],
+    plan: &ScatterPlan<'_>,
+    channels: std::ops::Range<usize>,
+) {
+    let lanes = 4 * Q;
+    let (kh, kw) = (plan.geom.kernel_h, plan.geom.kernel_w);
+    let (stride_h, stride_w) = (plan.geom.stride_h.max(1), plan.geom.stride_w.max(1));
+    let (pad_h, pad_w) = (plan.geom.pad_h, plan.geom.pad_w);
+    let (c_in, ih, iw, oh, ow) = (plan.c_in, plan.ih, plan.iw, plan.oh, plan.ow);
+    let taps = c_in * kh * kw;
+    let plane = oh * ow * lanes;
+    let (x_ptr, p_ptr, w_ptr) = (input.as_ptr(), psp.as_mut_ptr(), plan.w.as_ptr());
+    for co0 in channels.step_by(CB) {
+        // Tap `t` of channel `co0 + c` is at `w_blk + c·taps + t`.
+        let w_blk = w_ptr.add(co0 * taps);
+        for oy in 0..oh {
+            let (ky0, ky1, iy0) = gather_tap_range(oy, stride_h, pad_h, kh, ih);
+            if ky0 == ky1 {
+                continue;
+            }
+            for ox in 0..ow {
+                let (kx0, kx1, ix0) = gather_tap_range(ox, stride_w, pad_w, kw, iw);
+                if kx0 == kx1 {
+                    continue;
+                }
+                // SAFETY (every pointer below): `co0 + c < c_out`,
+                // `oy < oh` and `ox < ow` keep the PSP quads inside
+                // `c_out·oh·ow·4Q`; the tap ranges keep `iy < ih` and
+                // `ix < iw`, so the input quads stay inside
+                // `c_in·ih·iw·4Q`; and `ky < kh`, `kx < kw` keep the
+                // weights inside `c_out·c_in·kh·kw`.
+                let p_px = p_ptr.add(((co0 * oh + oy) * ow + ox) * lanes);
+                let mut acc: [[Quad; Q]; CB] = std::array::from_fn(|c| {
+                    std::array::from_fn(|q| Quad::load(p_px.add(c * plane + 4 * q)))
+                });
+                for ci in 0..c_in {
+                    for ky in ky0..ky1 {
+                        let iy = iy0 + (ky - ky0);
+                        let x_row = x_ptr.add(((ci * ih + iy) * iw + ix0) * lanes);
+                        let w_row = w_blk.add((ci * kh + ky) * kw);
+                        for kx in kx0..kx1 {
+                            let x_px = x_row.add((kx - kx0) * lanes);
+                            let x: [Quad; Q] = std::array::from_fn(|q| Quad::load(x_px.add(4 * q)));
+                            for (c, acc) in acc.iter_mut().enumerate() {
+                                let wv = Quad::splat(*w_row.add(c * taps + kx));
+                                for (a, &xq) in acc.iter_mut().zip(&x) {
+                                    *a = a.mul_add(xq, wv);
+                                }
+                            }
+                        }
+                    }
+                }
+                for (c, acc) in acc.iter().enumerate() {
+                    for (q, a) in acc.iter().enumerate() {
+                        a.store(p_px.add(c * plane + 4 * q));
                     }
                 }
             }
@@ -1506,19 +1831,28 @@ mod tests {
     }
 
     fn batch_matches_scalar(syn: &Synapse, inputs: &[Vec<f32>]) {
+        let start = vec![vec![0.0f32; syn.output_len()]; inputs.len()];
+        batch_matches_scalar_from(syn, inputs, &start);
+    }
+
+    /// Lane `b` of a lockstep pass from PSP `start[b]` must equal, bit
+    /// for bit, a scalar pass from the same PSP.
+    fn batch_matches_scalar_from(syn: &Synapse, inputs: &[Vec<f32>], start: &[Vec<f32>]) {
         let batch = inputs.len();
         let out = syn.output_len();
         let soa = to_soa(inputs);
-        let mut psp_batch = vec![0.0f32; out * batch];
+        let mut psp_batch = to_soa(start);
         syn.accumulate_batch(&soa, &mut psp_batch, batch).unwrap();
         for (b, input) in inputs.iter().enumerate() {
-            let mut psp = vec![0.0f32; out];
+            let mut psp = start[b].clone();
             syn.accumulate(input, &mut psp).unwrap();
             for j in 0..out {
                 assert_eq!(
+                    psp[j].to_bits(),
+                    psp_batch[j * batch + b].to_bits(),
+                    "width {batch} lane {b} neuron {j} diverged: {} vs {}",
                     psp[j],
-                    psp_batch[j * batch + b],
-                    "lane {b} neuron {j} diverged"
+                    psp_batch[j * batch + b]
                 );
             }
         }
@@ -1541,23 +1875,26 @@ mod tests {
     #[test]
     fn conv_batch_lanes_match_scalar_bitwise() {
         let mut rng = StdRng::seed_from_u64(13);
-        for (geom, in_shape, out_shape) in [
-            (
-                Conv2dGeometry::square(3, 1, 1),
-                Chw::new(2, 5, 5),
-                Chw::new(3, 5, 5),
-            ),
-            (
-                Conv2dGeometry::square(2, 2, 0),
-                Chw::new(1, 6, 6),
-                Chw::new(2, 3, 3),
-            ),
-            (
-                Conv2dGeometry::square(3, 2, 1),
-                Chw::new(1, 5, 5),
-                Chw::new(2, 3, 3),
-            ),
+        // Asymmetric kernel, stride and pad (as in
+        // `conv_restructured_matches_dense_conv2d_odd_geometry`).
+        let odd = Conv2dGeometry {
+            kernel_h: 3,
+            kernel_w: 2,
+            stride_h: 2,
+            stride_w: 1,
+            pad_h: 1,
+            pad_w: 0,
+        };
+        // `c_out` 5 leaves a tail after every channel block (8, 4, 2).
+        for (geom, in_shape, c_out) in [
+            (Conv2dGeometry::square(3, 1, 1), Chw::new(2, 5, 5), 3),
+            (Conv2dGeometry::square(2, 2, 0), Chw::new(1, 6, 6), 2),
+            (Conv2dGeometry::square(3, 2, 1), Chw::new(1, 5, 5), 2),
+            (odd, Chw::new(2, 7, 5), 5),
+            (Conv2dGeometry::square(3, 1, 2), Chw::new(3, 4, 6), 5),
         ] {
+            let (oh, ow) = geom.output_hw(in_shape.h, in_shape.w).unwrap();
+            let out_shape = Chw::new(c_out, oh, ow);
             let weight = uniform(
                 &mut rng,
                 &[out_shape.c, in_shape.c, geom.kernel_h, geom.kernel_w],
@@ -1570,16 +1907,27 @@ mod tests {
                 in_shape,
                 out_shape,
             };
-            let inputs: Vec<Vec<f32>> = (0..4)
-                .map(|_| {
-                    uniform(&mut rng, &[in_shape.volume()], 0.0, 1.0)
-                        .as_slice()
-                        .iter()
-                        .map(|&v| if v < 0.4 { 0.0 } else { v })
-                        .collect()
-                })
-                .collect();
-            batch_matches_scalar(&syn, &inputs);
+            for batch in [2usize, 3, 4, 8, 16] {
+                // Lane 1 is silent throughout; the rest are ~40% zero.
+                let inputs: Vec<Vec<f32>> = (0..batch)
+                    .map(|b| {
+                        uniform(&mut rng, &[in_shape.volume()], 0.0, 1.0)
+                            .as_slice()
+                            .iter()
+                            .map(|&v| if b == 1 || v < 0.4 { 0.0 } else { v })
+                            .collect()
+                    })
+                    .collect();
+                // Lane 0 starts from +0.0, the others from nonzero PSPs.
+                let start: Vec<Vec<f32>> = (0..batch)
+                    .map(|b| {
+                        let p = uniform(&mut rng, &[out_shape.volume()], -1.0, 1.0);
+                        let p = p.as_slice().iter();
+                        p.map(|&v| if b == 0 { 0.0 } else { v }).collect()
+                    })
+                    .collect();
+                batch_matches_scalar_from(&syn, &inputs, &start);
+            }
         }
     }
 

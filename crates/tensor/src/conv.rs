@@ -42,15 +42,21 @@ impl Conv2dGeometry {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidGeometry`] when the kernel exceeds the
-    /// padded input or any stride/kernel dimension is zero.
+    /// padded input, any stride/kernel dimension is zero, or the padded
+    /// size overflows `usize` (geometry read from a snapshot is
+    /// untrusted).
     pub fn output_hw(&self, h: usize, w: usize) -> Result<(usize, usize), TensorError> {
         if self.kernel_h == 0 || self.kernel_w == 0 || self.stride_h == 0 || self.stride_w == 0 {
             return Err(TensorError::InvalidGeometry(
                 "kernel and stride must be nonzero".into(),
             ));
         }
-        let ph = h + 2 * self.pad_h;
-        let pw = w + 2 * self.pad_w;
+        let padded = |len: usize, pad: usize| pad.checked_mul(2).and_then(|p| len.checked_add(p));
+        let (Some(ph), Some(pw)) = (padded(h, self.pad_h), padded(w, self.pad_w)) else {
+            return Err(TensorError::InvalidGeometry(
+                "padded input size overflows".into(),
+            ));
+        };
         if self.kernel_h > ph || self.kernel_w > pw {
             return Err(TensorError::InvalidGeometry(format!(
                 "kernel {}x{} larger than padded input {}x{}",
@@ -321,6 +327,9 @@ mod tests {
     #[test]
     fn output_hw_rejects_oversized_kernel() {
         let g = Conv2dGeometry::square(5, 1, 0);
+        assert!(g.output_hw(3, 3).is_err());
+        // A padding whose padded size overflows is rejected, not wrapped.
+        let g = Conv2dGeometry::square(5, 1, usize::MAX / 2);
         assert!(g.output_hw(3, 3).is_err());
     }
 
