@@ -13,7 +13,7 @@
 //! `--quick` shrinks training and the serve waves for CI smoke runs;
 //! `--min-mlp-b16-speedup X` exits nonzero unless the MLP's batch-16
 //! auto-dispatch lane-steps/s reaches `X ×` its sequential baseline — a
-//! machine-independent floor guarding the sparsity-adaptive dispatch
+//! machine-independent floor guarding the density-dispatching engine's
 //! win (absolute lane-steps/s floors would be runner-dependent).
 //! `--require-packed` exits nonzero unless the packed bit-plane kernel
 //! is either auto-selected on at least one stage, or its forced-packed
@@ -30,7 +30,7 @@
 //! records the workload shape alongside every figure so comparisons
 //! stay apples-to-apples.
 
-use bsnn_bench::autotune_cached;
+use bsnn_bench::{auto_dispatch, autotune_cached};
 use bsnn_core::autotune::AutotuneConfig;
 use bsnn_core::batch::{BatchedNetwork, BatchedStepwiseInference, DispatchMode, DispatchPolicy};
 use bsnn_core::coding::CodingScheme;
@@ -162,13 +162,7 @@ fn core_record(
 ) -> CoreRecord {
     let cfg = EvalConfig::new(scheme, SIM_STEPS);
     let policy = autotune_cached(net, scheme, &AutotuneConfig::default());
-    let auto = DispatchPolicy {
-        mode: DispatchMode::Auto,
-        thresholds: policy.density_thresholds.clone(),
-        packed_thresholds: policy.packed_thresholds.clone(),
-        quant_thresholds: policy.quant_thresholds.clone(),
-        quant_eligible: policy.quant_eligible.clone(),
-    };
+    let auto = auto_dispatch(&policy);
     let dense = DispatchPolicy::forced(DispatchMode::ForceDense);
     let packed = DispatchPolicy::forced(DispatchMode::ForcePacked);
     let quant = DispatchPolicy::forced(DispatchMode::ForceQuantized);
@@ -198,19 +192,14 @@ fn core_record(
         .map(|(k, st)| {
             format!(
                 concat!(
-                    "{{\"stage\": {}, \"crossover\": {:.4}, \"packed_crossover\": {:.4}, ",
+                    "{{\"stage\": {}, \"packed_crossover\": {:.4}, ",
                     "\"quant_crossover\": {:.4}, \"quant_eligible\": {}, ",
                     "\"mean_density\": {:.3}, ",
-                    "\"sparse_steps\": {}, \"dense_steps\": {}, \"packed_steps\": {}, ",
+                    "\"dense_steps\": {}, \"packed_steps\": {}, ",
                     "\"quant_steps\": {}, ",
                     "\"cached_steps\": {}, \"kernel_ms\": {:.2}}}"
                 ),
                 k,
-                policy
-                    .density_thresholds
-                    .get(k)
-                    .copied()
-                    .unwrap_or(bsnn_core::batch::DEFAULT_DENSITY_CROSSOVER),
                 policy
                     .packed_thresholds
                     .get(k)
@@ -223,7 +212,6 @@ fn core_record(
                     .unwrap_or(bsnn_core::batch::DEFAULT_QUANT_CROSSOVER),
                 policy.quant_eligible.get(k).copied().unwrap_or(false),
                 st.mean_density(),
-                st.sparse_steps,
                 st.dense_steps,
                 st.packed_steps,
                 st.quant_steps,
@@ -308,13 +296,7 @@ fn eval_record(
     let par = best_secs(3, || {
         std::hint::black_box(evaluate_dataset_batched(net, test, &cfg, threads, 1).expect("eval"));
     });
-    let dispatch = DispatchPolicy {
-        mode: DispatchMode::Auto,
-        thresholds: policy.density_thresholds.clone(),
-        packed_thresholds: policy.packed_thresholds.clone(),
-        quant_thresholds: policy.quant_thresholds.clone(),
-        quant_eligible: policy.quant_eligible.clone(),
-    };
+    let dispatch = auto_dispatch(&policy);
     let batched = best_secs(3, || {
         std::hint::black_box(
             evaluate_dataset_batched_with_dispatch(
@@ -407,14 +389,13 @@ fn serve_record(
         .map(|(k, st)| {
             format!(
                 concat!(
-                    "{{\"stage\": {}, \"dense_steps\": {}, \"sparse_steps\": {}, ",
+                    "{{\"stage\": {}, \"dense_steps\": {}, ",
                     "\"packed_steps\": {}, \"quant_steps\": {}, \"cached_steps\": {}, ",
                     "\"mean_density\": {:.3}, ",
                     "\"kernel_ms\": {:.2}}}"
                 ),
                 k,
                 st.dense_steps,
-                st.sparse_steps,
                 st.packed_steps,
                 st.quant_steps,
                 st.cached_steps,
@@ -506,7 +487,7 @@ fn main() {
     let cnn_b16_speedup = cnn_rec.b16_speedup;
     let rustc_version = env!("BSNN_RUSTC_VERSION");
     let core = format!(
-        "{{\n  \"schema\": \"bsnn-bench-core-v6\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"note\": \"lane-steps/s = images × time-steps simulated per wall-clock second; sequential = {SIM_BATCH} back-to-back single-image runs; batch* rows run the density-dispatching engine at the autotuned crossovers, batch16_forced_dense pins the pre-dispatch dense kernels, batch16_forced_packed pins the bit-plane mask kernels (u64 activity masks + power-of-two exponent planes, register-blocked replay), and batch16_forced_quant pins the int8 fixed-point kernels (symmetric per-column scales, i32 PSP accumulation, burst magnitudes folded in as shifts); dispatch_batch16 records each stage's measured density and strategy mix (dense/sparse/packed/quant/cached) plus kernel_ms of stage wall time summed over all {SIM_REPS} measurement reps (ProfileSink); dataset_eval = full evaluate_dataset passes (batched width from the autotuner)\",\n  \"workloads\": [\n    {},\n    {}\n  ],\n  \"dataset_eval\": [\n    {},\n    {}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"bsnn-bench-core-v7\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"note\": \"lane-steps/s = images × time-steps simulated per wall-clock second; sequential = {SIM_BATCH} back-to-back single-image runs; batch* rows run the density-dispatching engine at the autotuned crossovers, batch16_forced_dense pins the pre-dispatch dense kernels, batch16_forced_packed pins the bit-plane mask kernels (u64 activity masks + power-of-two exponent planes, register-blocked replay), and batch16_forced_quant pins the int8 fixed-point kernels (symmetric per-column scales, i32 PSP accumulation, burst magnitudes folded in as shifts); dispatch_batch16 records each stage's measured density and strategy mix (dense/packed/quant/cached) plus kernel_ms of stage wall time summed over all {SIM_REPS} measurement reps (ProfileSink); dataset_eval = full evaluate_dataset passes (batched width from the autotuner)\",\n  \"workloads\": [\n    {},\n    {}\n  ],\n  \"dataset_eval\": [\n    {},\n    {}\n  ]\n}}\n",
         mlp_rec.json,
         cnn_rec.json,
         eval_record("mlp_144_32_10", &mlp, &mlp_test, mlp_scheme),
@@ -580,7 +561,7 @@ fn main() {
 
     eprintln!("measuring serving throughput...");
     let serve = format!(
-        "{{\n  \"schema\": \"bsnn-bench-serve-v6\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"note\": \"one closed-loop wave per config (cold worker engines included), confidence-margin early exit (horizon 96); latency percentiles are within-bucket interpolated log-bucket ranks; batch_policy=autotuned splits popped micro-batches to the model's measured width and installs its density, packed, and quant crossovers (int8 only where the accuracy gate passed); ragged lockstep chunks are padded to fixed widths with dead lanes; stage_profile comes from the engine ProfileSink (kernel_ms = stage wall time over the whole wave, packed_steps = bit-plane kernel selections, quant_steps = int8 kernel selections)\",\n  \"configs\": [\n    {},\n    {},\n    {},\n    {},\n    {},\n    {}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"bsnn-bench-serve-v7\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"note\": \"one closed-loop wave per config (cold worker engines included), confidence-margin early exit (horizon 96); latency percentiles are within-bucket interpolated log-bucket ranks; batch_policy=autotuned splits popped micro-batches to the model's measured width and installs its packed and quant crossovers (int8 only where the accuracy gate passed); ragged lockstep chunks are padded to fixed widths with dead lanes; stage_profile comes from the engine ProfileSink (kernel_ms = stage wall time over the whole wave, packed_steps = bit-plane kernel selections, quant_steps = int8 kernel selections)\",\n  \"configs\": [\n    {},\n    {},\n    {},\n    {},\n    {},\n    {}\n  ]\n}}\n",
         serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 1, mlp_wave, false),
         serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 8, mlp_wave, false),
         serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 8, mlp_wave, true),

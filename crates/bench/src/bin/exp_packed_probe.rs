@@ -1,5 +1,5 @@
 //! Microbenchmark for the packed bit-plane kernel: kernel-level
-//! dense/sparse/packed costs across a density grid, plus the cost of
+//! dense/packed costs across a density grid, plus the cost of
 //! building spike bit-planes during fire (Auto mode) relative to a
 //! plane-free forced-dense engine.
 //!
@@ -55,7 +55,7 @@ fn density_input(rng: &mut StdRng, len: usize, base: f32, density: f32) -> Vec<f
 }
 
 /// Times one (shape, density) cell: ns per kernel call for the dense,
-/// sparse, self-packing packed, and plane-fed packed strategies.
+/// self-packing packed, and plane-fed packed strategies.
 fn kernel_cell(rng: &mut StdRng, n_in: usize, n_out: usize, density: f32) {
     let base = 0.4f32;
     let weight: Vec<f32> = (0..n_in * n_out)
@@ -84,13 +84,6 @@ fn kernel_cell(rng: &mut StdRng, n_in: usize, n_out: usize, density: f32) {
         }
         black_box(&psp);
     });
-    let sparse = best_nanos(REPS, || {
-        for _ in 0..iters {
-            syn.accumulate_batch_sparse(&input, &mut psp, WIDTH, &mut scratch)
-                .unwrap();
-        }
-        black_box(&psp);
-    });
     let packed = best_nanos(REPS, || {
         for _ in 0..iters {
             syn.accumulate_batch_packed(&input, &mut psp, WIDTH, Some(base), &mut scratch)
@@ -100,30 +93,20 @@ fn kernel_cell(rng: &mut StdRng, n_in: usize, n_out: usize, density: f32) {
     });
     let planes = best_nanos(REPS, || {
         for _ in 0..iters {
-            syn.accumulate_batch_packed_planes(
-                &input,
-                &mut psp,
-                WIDTH,
-                &masks,
-                None,
-                Some(base),
-                &mut scratch,
-            )
-            .unwrap();
+            syn.accumulate_batch_packed_planes(&input, &mut psp, WIDTH, &masks, None, Some(base))
+                .unwrap();
         }
         black_box(&psp);
     });
     println!(
-        "  {n_in:>4}x{n_out:<4} d={density:<5} dense {:>8.0} ns  sparse {:>8.0} ns  \
+        "  {n_in:>4}x{n_out:<4} d={density:<5} dense {:>8.0} ns  \
          packed(self) {:>8.0} ns  packed(planes) {:>8.0} ns  best={}",
         per(dense),
-        per(sparse),
         per(packed),
         per(planes),
         {
             let cells = [
                 (per(dense), "dense"),
-                (per(sparse), "sparse"),
                 (per(packed), "packed-self"),
                 (per(planes), "packed-planes"),
             ];
@@ -181,9 +164,8 @@ fn engine_rate(net: &SpikingNetwork, images: &[Vec<f32>], dispatch: &DispatchPol
     }) / 1e9;
     for (k, s) in sink.snapshot().stages.iter().enumerate() {
         println!(
-            "    stage {k}: dense {} sparse {} packed {} quant {} cached {}  density {:.3}  kernel {:.3} ms",
+            "    stage {k}: dense {} packed {} quant {} cached {}  density {:.3}  kernel {:.3} ms",
             s.dense_steps,
-            s.sparse_steps,
             s.packed_steps,
             s.quant_steps,
             s.cached_steps,
@@ -217,10 +199,10 @@ fn main() {
     let dense_only = DispatchPolicy::forced(DispatchMode::ForceDense);
     let auto_pinned_dense = DispatchPolicy {
         mode: DispatchMode::Auto,
-        thresholds: vec![0.0; 2],
         packed_thresholds: vec![f32::MIN_POSITIVE; 2],
         quant_thresholds: vec![0.0; 2],
         quant_eligible: vec![false; 2],
+        ..DispatchPolicy::default()
     };
     let packed_forced = DispatchPolicy::forced(DispatchMode::ForcePacked);
     println!("\nengine (random 144-32-10 MLP, phase-burst, batch {WIDTH}, 64 steps):");

@@ -19,7 +19,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use bsnn_bench::autotune_cached;
+use bsnn_bench::{auto_dispatch, autotune_cached};
 use bsnn_core::autotune::AutotuneConfig;
 use bsnn_core::batch::{DispatchMode, DispatchPolicy};
 use bsnn_core::coding::CodingScheme;
@@ -176,10 +176,8 @@ fn workload_deltas(
     let n_stages = net.layers().len() + 1;
     let f32_policy = DispatchPolicy {
         mode: DispatchMode::Auto,
-        thresholds: policy.density_thresholds.clone(),
         packed_thresholds: policy.packed_thresholds.clone(),
-        quant_thresholds: Vec::new(),
-        quant_eligible: Vec::new(),
+        ..DispatchPolicy::default()
     };
     let base_acc = accuracy(net, test, scheme, &f32_policy);
     println!("\n{name}: f32 accuracy {base_acc:.4}");
@@ -214,13 +212,7 @@ fn workload_deltas(
     }
     // Deployment configuration: the autotuned policy as shipped —
     // measured quant crossovers, gate-approved eligibility.
-    let auto_quant = DispatchPolicy {
-        mode: DispatchMode::Auto,
-        thresholds: policy.density_thresholds.clone(),
-        packed_thresholds: policy.packed_thresholds.clone(),
-        quant_thresholds: policy.quant_thresholds.clone(),
-        quant_eligible: policy.quant_eligible.clone(),
-    };
+    let auto_quant = auto_dispatch(&policy);
     let auto_acc = accuracy(net, test, scheme, &auto_quant);
     let delta = (auto_acc - base_acc).abs();
     println!(

@@ -39,7 +39,7 @@ pub fn eval_threads() -> usize {
 }
 
 /// Evaluates `net` over the dataset with the `threads × batch`
-/// composition, at the lockstep width (and density crossovers) the
+/// composition, at the lockstep width (and kernel crossovers) the
 /// model's own autotuning probe picks — the default evaluation path of
 /// every `exp_*` binary. Returns the result together with the measured
 /// [`BatchPolicy`] so reports can cite the width the numbers were
@@ -68,16 +68,22 @@ pub fn evaluate_autotuned(
         cfg,
         eval_threads(),
         policy.preferred_batch,
-        &DispatchPolicy {
-            mode: DispatchMode::Auto,
-            thresholds: policy.density_thresholds.clone(),
-            packed_thresholds: policy.packed_thresholds.clone(),
-            quant_thresholds: policy.quant_thresholds.clone(),
-            quant_eligible: policy.quant_eligible.clone(),
-        },
+        &auto_dispatch(&policy),
     )
     .expect("dataset evaluation");
     (eval, policy)
+}
+
+/// The `Auto` dispatch policy a measured [`BatchPolicy`] calls for:
+/// its packed and int8 crossovers and the int8 accuracy-gate verdicts.
+pub fn auto_dispatch(policy: &BatchPolicy) -> DispatchPolicy {
+    DispatchPolicy {
+        mode: DispatchMode::Auto,
+        packed_thresholds: policy.packed_thresholds.clone(),
+        quant_thresholds: policy.quant_thresholds.clone(),
+        quant_eligible: policy.quant_eligible.clone(),
+        ..DispatchPolicy::default()
+    }
 }
 
 /// 64-bit FNV-1a over `bytes`, continuing from `h` (seed the first call
@@ -140,13 +146,14 @@ fn autotune_cache_path(
 ) -> Option<PathBuf> {
     let mut model_bytes = Vec::new();
     bsnn_core::snapshot::save_network(net, &mut model_bytes).ok()?;
-    // "at4" salts the key with the cache-entry format generation: bump
+    // "at5" salts the key with the cache-entry format generation: bump
     // it when the probe or the kernels change meaningfully, so stale
     // measurements from older binaries are not reused (at3 = int8 quant
     // kernels + quant_thresholds/quant_eligible lines + accuracy gate;
-    // at4 = output-stationary conv kernel at widths 4, 8 and 16).
+    // at4 = output-stationary conv kernel at widths 4, 8 and 16;
+    // at5 = sparse kernel removed, no `thresholds` line).
     let tag = format!(
-        "at4|{salt}|{scheme}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
+        "at5|{salt}|{scheme}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
         cfg.widths,
         cfg.steps,
         cfg.reps,
@@ -176,7 +183,8 @@ fn autotune_cached_salted(
     if let Some(path) = path {
         // Write-then-rename so a concurrent exp_* binary (or a kill
         // mid-write) can never observe a truncated entry — a prefix
-        // like "thresholds 0.28,0." still parses, with wrong values.
+        // like "packed_thresholds 0.28,0." still parses, with wrong
+        // values.
         let tmp = path.with_extension(format!("tmp{}", std::process::id()));
         if fs::write(&tmp, render_autotune_cache(&policy)).is_ok() {
             let _ = fs::rename(&tmp, &path);
@@ -187,12 +195,6 @@ fn autotune_cached_salted(
 
 fn render_autotune_cache(policy: &BatchPolicy) -> String {
     let mut s = format!("preferred_batch {}\n", policy.preferred_batch);
-    let thresholds: Vec<String> = policy
-        .density_thresholds
-        .iter()
-        .map(|t| format!("{t}"))
-        .collect();
-    s.push_str(&format!("thresholds {}\n", thresholds.join(",")));
     let packed: Vec<String> = policy
         .packed_thresholds
         .iter()
@@ -220,7 +222,6 @@ fn render_autotune_cache(policy: &BatchPolicy) -> String {
 fn read_autotune_cache(path: &std::path::Path) -> Option<BatchPolicy> {
     let text = fs::read_to_string(path).ok()?;
     let mut preferred_batch = None;
-    let mut density_thresholds = Vec::new();
     let mut packed_thresholds = Vec::new();
     let mut quant_thresholds = Vec::new();
     let mut quant_eligible = Vec::new();
@@ -229,13 +230,6 @@ fn read_autotune_cache(path: &std::path::Path) -> Option<BatchPolicy> {
         let mut parts = line.split_whitespace();
         match parts.next()? {
             "preferred_batch" => preferred_batch = Some(parts.next()?.parse().ok()?),
-            "thresholds" => {
-                if let Some(list) = parts.next() {
-                    for v in list.split(',') {
-                        density_thresholds.push(v.parse().ok()?);
-                    }
-                }
-            }
             "packed_thresholds" => {
                 if let Some(list) = parts.next() {
                     for v in list.split(',') {
@@ -271,7 +265,7 @@ fn read_autotune_cache(path: &std::path::Path) -> Option<BatchPolicy> {
     Some(BatchPolicy {
         preferred_batch: preferred_batch?,
         probes,
-        density_thresholds,
+        density_thresholds: Vec::new(),
         packed_thresholds,
         quant_thresholds,
         quant_eligible,
@@ -582,7 +576,7 @@ mod tests {
                     lane_steps_per_sec: 4000.25,
                 },
             ],
-            density_thresholds: vec![0.28125, 0.0, 1.01],
+            density_thresholds: Vec::new(),
             packed_thresholds: vec![0.0625, 1.01, 0.0],
             quant_thresholds: vec![0.09375, 0.0, 1.01],
             quant_eligible: vec![true, false, true],
@@ -594,6 +588,10 @@ mod tests {
         fs::write(&path, "preferred_batch eight\n").unwrap();
         assert_eq!(read_autotune_cache(&path), None);
         fs::write(&path, "unexpected_key 3\n").unwrap();
+        assert_eq!(read_autotune_cache(&path), None);
+        // An entry from before the sparse kernel's removal is not
+        // reused either.
+        fs::write(&path, "preferred_batch 8\nthresholds 0.28\n").unwrap();
         assert_eq!(read_autotune_cache(&path), None);
         fs::write(&path, "quant_eligible yes,no\n").unwrap();
         assert_eq!(read_autotune_cache(&path), None);

@@ -1,4 +1,4 @@
-//! Per-model lockstep batch-width and density-crossover autotuning.
+//! Per-model lockstep batch-width and kernel-crossover autotuning.
 //!
 //! The lockstep engine's win is model-dependent: conv/pool stages are
 //! weight-reuse-bound and gain 2–3× at widths 8–16, while small dense
@@ -7,16 +7,18 @@
 //! the same machine. Two knobs therefore cannot be hardcoded and are
 //! measured per model on a short synthetic warm-up:
 //!
-//! 1. **Density crossovers** — per stage, the spike density below which
-//!    the sparse event-list kernel beats the dense lockstep kernel
-//!    (micro-benchmarked strategy-vs-strategy on the stage's own
-//!    synapse over a density grid; see
-//!    [`crate::batch::DispatchPolicy`]).
-//! 2. **Preferred batch width** — probed with those crossovers already
-//!    installed, so the width decision reflects the
-//!    sparsity-adaptive engine that will actually run.
+//! 1. **Kernel crossovers** — per stage, the spike density below which
+//!    the bit-plane packed kernel, and on dense stages the int8 kernel,
+//!    beats the dense lockstep kernel (micro-benchmarked
+//!    strategy-vs-strategy on the stage's own synapse over a density
+//!    grid; see [`crate::batch::DispatchPolicy`]). Packed crossovers are
+//!    then re-validated on the whole engine, and int8 is admitted per
+//!    stage only past an accuracy gate.
+//! 2. **Preferred batch width** — probed with the packed crossovers
+//!    already installed, so the width decision reflects the
+//!    density-dispatching engine that will actually run.
 //!
-//! Both travel with the model (snapshot metadata v3, registry entry) so
+//! Both travel with the model (snapshot metadata, registry entry) so
 //! every consumer — the batched dataset evaluator, the serving
 //! workers — runs each model at its own sweet spot.
 
@@ -60,10 +62,11 @@ pub struct AutotuneConfig {
     /// event-skip break-even width — probe with the value the model
     /// will actually run at.
     pub phase_period: u32,
-    /// Whether to micro-benchmark each stage's sparse-vs-dense density
-    /// crossover (on by default). When off, the engine falls back to
-    /// [`crate::batch::DEFAULT_DENSITY_CROSSOVER`] everywhere and the
-    /// width probe runs with that default.
+    /// Whether to calibrate each stage's packed and int8 crossovers and
+    /// run the int8 accuracy gate (on by default). When off, the engine
+    /// falls back to [`crate::batch::DEFAULT_PACKED_CROSSOVER`]
+    /// everywhere, no stage may quantize, and the width probe runs
+    /// with those defaults.
     pub calibrate_density: bool,
     /// Wall-clock repetitions per (stage, density, strategy)
     /// measurement (best-of, to shed scheduler noise).
@@ -152,15 +155,14 @@ pub struct BatchPolicy {
     pub preferred_batch: usize,
     /// All probed widths, in probe order.
     pub probes: Vec<BatchProbe>,
-    /// Calibrated sparse/dense density crossovers, one per hidden stage
-    /// plus a final entry for the output synapse — install into the
-    /// engine via [`crate::batch::DispatchPolicy`]. Empty when
-    /// calibration was disabled (consumers then use
-    /// [`crate::batch::DEFAULT_DENSITY_CROSSOVER`]).
+    /// Always empty: the removed sparse kernel's crossovers, kept so
+    /// existing readers such as the `perfbench` harness still build.
     pub density_thresholds: Vec<f32>,
-    /// Calibrated packed/dense crossovers, same layout: below a
-    /// stage's entry the bit-plane packed kernel preempts the sparse
-    /// event replay. Empty when calibration was disabled
+    /// Calibrated packed/dense crossovers, one per hidden stage plus a
+    /// final entry for the output synapse — install into the engine
+    /// via [`crate::batch::DispatchPolicy`]. Below a stage's entry the
+    /// bit-plane packed kernel runs instead of the dense one. Empty
+    /// when calibration was disabled
     /// ([`crate::batch::DEFAULT_PACKED_CROSSOVER`] applies).
     pub packed_thresholds: Vec<f32>,
     /// Calibrated quantized/dense crossovers, same layout: below a
@@ -217,24 +219,20 @@ fn warmup_images(rng: &mut StdRng, n: usize, len: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// The densities probed when calibrating a stage's sparse/dense
-/// crossover. The crossover is reported as the midpoint between the
-/// last density where sparse won and the first where dense won.
+/// The densities probed when calibrating a stage's crossovers. A
+/// crossover is reported as the midpoint between the last density
+/// where the challenger won and the first where dense won.
 const DENSITY_GRID: [f32; 7] = [0.03125, 0.0625, 0.125, 0.25, 0.5, 0.75, 1.0];
 
-/// Relative speed advantage sparse must show to win a grid point —
-/// hysteresis toward dense, whose worst case is bounded while a wrongly
-/// sparse stage forfeits its weight reuse. 15% (like the width probe's
-/// `min_gain`) also absorbs the crossover shift between the calibrated
-/// width and other widths the engine may run at.
-const SPARSE_WIN_MARGIN: f64 = 1.15;
-
-/// Win margin for the packed and quantized challengers — wider than
-/// the sparse one because these strategies carry engine-side costs the
-/// stage microbench cannot see: selecting either for any stage k ≥ 1
-/// makes every *upstream* fire pass pay a plane build. BENCH v5 showed
-/// the 15% margin letting a near-tie stage-0 packed pick drag MLP auto
-/// throughput below forced-dense; 25% keeps near-ties dense.
+/// Relative speed advantage the packed and quantized challengers must
+/// show over dense to win a grid point — hysteresis toward dense, whose
+/// worst case is bounded while a wrongly packed stage forfeits its
+/// weight reuse. It is wide because these strategies carry engine-side
+/// costs the stage microbench cannot see: selecting either for any
+/// stage k ≥ 1 makes every *upstream* fire pass pay a plane build.
+/// BENCH v5 showed a 15% margin letting a near-tie stage-0 packed pick
+/// drag MLP auto throughput below forced-dense; 25% keeps near-ties
+/// dense.
 const PACKED_WIN_MARGIN: f64 = 1.25;
 
 /// Slack for the engine-level packed validation pass: a stage's packed
@@ -273,41 +271,39 @@ fn crossover_from(first_dense_win: Option<usize>) -> f32 {
 
 /// Micro-benchmarks each stage's synapse strategy-vs-strategy over the
 /// density grid at lockstep width `width` and returns the per-stage
-/// crossover densities (hidden stages, then the output synapse) for
-/// all three challengers:
-/// `(sparse_thresholds, packed_thresholds, quant_thresholds)`. `0.0`
-/// means "always dense"; a value above 1.0 means "always the
-/// challenger". The packed and quantized strategies are timed the way
-/// the engine runs them per stage: hidden-fed stages (index ≥ 1)
-/// replay pre-built bit-planes — fire packs them for free during
-/// staging, so the mask build happens outside the timed region — while
-/// stage 0 self-packs from the input SoA. All are timed with no
+/// crossover densities (hidden stages, then the output synapse) of
+/// both challengers against dense: `(packed_thresholds,
+/// quant_thresholds)`. `0.0` means "always dense"; a value above 1.0
+/// means "always the challenger". The packed and quantized strategies
+/// are timed the way the engine runs them per stage: hidden-fed stages
+/// (index ≥ 1) replay pre-built bit-planes — fire packs them for free
+/// during staging, so the mask build happens outside the timed region —
+/// while stage 0 self-packs from the input SoA. Both are timed with no
 /// magnitude base / no uniform magnitude (every synthetic magnitude
-/// reads raw), which is each strategy's worst case — real spike
-/// traffic rides the exponent plane. The quantized challenger only
-/// exists for dense synapses at widths ≤ 64; elsewhere its crossover
-/// is `0.0`. Speed is all this function measures — whether int8 is
-/// *accurate enough* is the separate eligibility gate in
-/// [`autotune_batch`].
-#[allow(clippy::type_complexity)]
-fn calibrate_density_thresholds(
+/// reads raw), which is each strategy's worst case — real spike traffic
+/// rides the exponent plane. Neither challenger runs wider than the
+/// 64-lane mask plane, and the quantized one only exists for dense
+/// synapses; elsewhere its crossover is `0.0`. Speed is all this
+/// function measures — whether int8 is *accurate enough* is the
+/// separate eligibility gate in [`autotune_batch`].
+fn calibrate_crossovers(
     net: &SpikingNetwork,
     width: usize,
     cfg: &AutotuneConfig,
     rng: &mut StdRng,
-) -> Result<(Vec<f32>, Vec<f32>, Vec<f32>), SnnError> {
+) -> Result<(Vec<f32>, Vec<f32>), SnnError> {
     let mut synapses: Vec<&Synapse> = net.layers().iter().map(|l| l.synapse()).collect();
     synapses.push(net.output_synapse());
     let mut scratch = KernelScratch::default();
     let mut quant_scratch = crate::quant::QuantScratch::default();
-    let mut thresholds = Vec::with_capacity(synapses.len());
     let mut packed_thresholds = Vec::with_capacity(synapses.len());
     let mut quant_thresholds = Vec::with_capacity(synapses.len());
+    let plane_fits = width <= 64;
     for (stage_idx, syn) in synapses.into_iter().enumerate() {
         let in_len = syn.input_len();
         let out_len = syn.output_len();
         let quant = match syn {
-            Synapse::Dense { weight } if width <= 64 => {
+            Synapse::Dense { weight } if plane_fits => {
                 crate::quant::QuantizedDense::from_weights(weight)
             }
             _ => None,
@@ -320,30 +316,28 @@ fn calibrate_density_thresholds(
         // Index into the grid of the first density where dense beat
         // each challenger (the grid is scanned in ascending density,
         // where event-driven strategies can only get weaker).
-        let mut sparse_lost = None;
-        let mut packed_lost = None;
+        let mut packed_lost = if plane_fits { None } else { Some(0) };
         let mut quant_lost = if quant.is_some() { None } else { Some(0) };
         for (gi, &d) in DENSITY_GRID.iter().enumerate() {
-            if sparse_lost.is_some() && packed_lost.is_some() && quant_lost.is_some() {
+            if packed_lost.is_some() && quant_lost.is_some() {
                 break;
             }
             let input = density_input(rng, in_len, width, d);
             // Hidden-fed stages get their bit-planes from fire's
             // staging pass at runtime, so the plane build is not
             // charged to the packed strategy here.
-            let masks: Option<Vec<u64>> = (stage_idx >= 1 && width <= 64).then(|| {
+            let masks: Option<Vec<u64>> = (stage_idx >= 1).then(|| {
                 input
                     .chunks_exact(width)
                     .map(crate::synapse::lane_mask)
                     .collect()
             });
             let mut dense_best = f64::INFINITY;
-            let mut sparse_best = f64::INFINITY;
             let mut packed_best = f64::INFINITY;
             let mut quant_best = f64::INFINITY;
             // Each strategy is charged its full per-step cost: the
             // kernel plus the integration pass in the layout it
-            // produces (the event paths' fold is a transposed add).
+            // produces (the lane-major fold is a transposed add).
             for _ in 0..cfg.density_reps {
                 psp.iter_mut().for_each(|p| *p = 0.0);
                 let t0 = Instant::now();
@@ -352,80 +346,52 @@ fn calibrate_density_thresholds(
                     crate::batch::integrate(&mut vmem, &psp, false, out_len, width);
                 }
                 dense_best = dense_best.min(t0.elapsed().as_secs_f64());
-                psp.iter_mut().for_each(|p| *p = 0.0);
-                let t0 = Instant::now();
-                for _ in 0..iters {
-                    syn.accumulate_batch_sparse(&input, &mut psp, width, &mut scratch)?;
-                    crate::batch::integrate(&mut vmem, &psp, true, out_len, width);
+                if packed_lost.is_none() {
+                    psp.iter_mut().for_each(|p| *p = 0.0);
+                    let t0 = Instant::now();
+                    for _ in 0..iters {
+                        match &masks {
+                            Some(masks) => syn.accumulate_batch_packed_planes(
+                                &input, &mut psp, width, masks, None, None,
+                            )?,
+                            None => syn.accumulate_batch_packed(
+                                &input,
+                                &mut psp,
+                                width,
+                                None,
+                                &mut scratch,
+                            )?,
+                        }
+                        crate::batch::integrate(&mut vmem, &psp, true, out_len, width);
+                    }
+                    packed_best = packed_best.min(t0.elapsed().as_secs_f64());
                 }
-                sparse_best = sparse_best.min(t0.elapsed().as_secs_f64());
-                psp.iter_mut().for_each(|p| *p = 0.0);
-                let t0 = Instant::now();
-                match &masks {
-                    Some(masks) => {
-                        for _ in 0..iters {
-                            syn.accumulate_batch_packed_planes(
+                if let (Some(qd), None) = (&quant, quant_lost) {
+                    psp.iter_mut().for_each(|p| *p = 0.0);
+                    let t0 = Instant::now();
+                    for _ in 0..iters {
+                        match &masks {
+                            Some(masks) => qd.accumulate_packed_planes(
                                 &input,
                                 &mut psp,
                                 width,
                                 masks,
                                 None,
                                 None,
-                                &mut scratch,
-                            )?;
-                            crate::batch::integrate(&mut vmem, &psp, true, out_len, width);
-                        }
-                    }
-                    None => {
-                        for _ in 0..iters {
-                            syn.accumulate_batch_packed(
+                                &mut quant_scratch,
+                            )?,
+                            None => qd.accumulate_packed(
                                 &input,
                                 &mut psp,
                                 width,
                                 None,
-                                &mut scratch,
-                            )?;
-                            crate::batch::integrate(&mut vmem, &psp, true, out_len, width);
+                                &mut quant_scratch,
+                            )?,
                         }
-                    }
-                }
-                packed_best = packed_best.min(t0.elapsed().as_secs_f64());
-                if let Some(qd) = &quant {
-                    psp.iter_mut().for_each(|p| *p = 0.0);
-                    let t0 = Instant::now();
-                    match &masks {
-                        Some(masks) => {
-                            for _ in 0..iters {
-                                qd.accumulate_packed_planes(
-                                    &input,
-                                    &mut psp,
-                                    width,
-                                    masks,
-                                    None,
-                                    None,
-                                    &mut quant_scratch,
-                                )?;
-                                crate::batch::integrate(&mut vmem, &psp, true, out_len, width);
-                            }
-                        }
-                        None => {
-                            for _ in 0..iters {
-                                qd.accumulate_packed(
-                                    &input,
-                                    &mut psp,
-                                    width,
-                                    None,
-                                    &mut quant_scratch,
-                                )?;
-                                crate::batch::integrate(&mut vmem, &psp, true, out_len, width);
-                            }
-                        }
+                        crate::batch::integrate(&mut vmem, &psp, true, out_len, width);
                     }
                     quant_best = quant_best.min(t0.elapsed().as_secs_f64());
                 }
-            }
-            if sparse_lost.is_none() && sparse_best * SPARSE_WIN_MARGIN >= dense_best {
-                sparse_lost = Some(gi);
             }
             if packed_lost.is_none() && packed_best * PACKED_WIN_MARGIN >= dense_best {
                 packed_lost = Some(gi);
@@ -434,23 +400,23 @@ fn calibrate_density_thresholds(
                 quant_lost = Some(gi);
             }
         }
-        thresholds.push(crossover_from(sparse_lost));
         packed_thresholds.push(crossover_from(packed_lost));
         quant_thresholds.push(crossover_from(quant_lost));
     }
-    Ok((thresholds, packed_thresholds, quant_thresholds))
+    Ok((packed_thresholds, quant_thresholds))
 }
 
 /// Measures `net`'s lockstep throughput at each candidate width on a
 /// short synthetic warm-up and returns the width it should run at,
-/// together with the calibrated per-stage density crossovers.
+/// together with the calibrated per-stage kernel crossovers and int8
+/// eligibility.
 ///
 /// Crossovers are calibrated first (at the widest candidate width,
-/// where the sparse/dense trade matters most) and installed into every
-/// width probe's engine, so the width decision reflects the
-/// sparsity-adaptive engine consumers will actually run. If the
-/// preferred width ends up different, the crossovers are re-calibrated
-/// at that width.
+/// where the packed kernel's trade against dense matters most) and the
+/// packed ones are installed into every width probe's engine, so the
+/// width decision reflects the density-dispatching engine consumers
+/// will actually run. If the preferred width ends up different, the
+/// crossovers are re-calibrated at that width.
 ///
 /// `scheme` must be the coding the model serves under — the input
 /// coding decides whether the encoder restages the drive every step,
@@ -471,24 +437,17 @@ pub fn autotune_batch(
     cfg.validate()?;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let max_width = *cfg.widths.iter().max().expect("nonempty widths");
-    let (mut density_thresholds, mut packed_thresholds, mut quant_thresholds) =
-        if cfg.calibrate_density {
-            calibrate_density_thresholds(net, max_width, cfg, &mut rng)?
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
+    let (mut packed_thresholds, mut quant_thresholds) = if cfg.calibrate_density {
+        calibrate_crossovers(net, max_width, cfg, &mut rng)?
+    } else {
+        (Vec::new(), Vec::new())
+    };
     let images = warmup_images(&mut rng, max_width, net.input_len());
     let eval = EvalConfig::new(scheme, cfg.steps).with_phase_period(cfg.phase_period);
     let mut probes = Vec::with_capacity(cfg.widths.len());
     for &width in &cfg.widths {
         let mut engine = BatchedNetwork::new(net.clone(), width)?;
-        engine.set_dispatch(DispatchPolicy {
-            mode: DispatchMode::Auto,
-            thresholds: density_thresholds.clone(),
-            packed_thresholds: packed_thresholds.clone(),
-            quant_thresholds: Vec::new(),
-            quant_eligible: Vec::new(),
-        });
+        engine.set_dispatch(packed_policy(packed_thresholds.clone()));
         let refs: Vec<&[f32]> = images[..width].iter().map(|v| v.as_slice()).collect();
         let mut best = f64::INFINITY;
         for _ in 0..cfg.reps {
@@ -518,8 +477,8 @@ pub fn autotune_batch(
         }
     }
     if cfg.calibrate_density && preferred.width != max_width {
-        (density_thresholds, packed_thresholds, quant_thresholds) =
-            calibrate_density_thresholds(net, preferred.width, cfg, &mut rng)?;
+        (packed_thresholds, quant_thresholds) =
+            calibrate_crossovers(net, preferred.width, cfg, &mut rng)?;
     }
     if cfg.calibrate_density {
         validate_packed_thresholds(
@@ -528,7 +487,6 @@ pub fn autotune_batch(
             cfg,
             &eval,
             &images,
-            &density_thresholds,
             &mut packed_thresholds,
         )?;
     }
@@ -538,7 +496,6 @@ pub fn autotune_batch(
             scheme,
             cfg,
             preferred.width,
-            &density_thresholds,
             &packed_thresholds,
             &quant_thresholds,
             &mut rng,
@@ -549,11 +506,21 @@ pub fn autotune_batch(
     Ok(BatchPolicy {
         preferred_batch: preferred.width,
         probes,
-        density_thresholds,
+        density_thresholds: Vec::new(),
         packed_thresholds,
         quant_thresholds,
         quant_eligible,
     })
+}
+
+/// An `Auto` policy with the given packed crossovers and no int8
+/// stages.
+fn packed_policy(packed_thresholds: Vec<f32>) -> DispatchPolicy {
+    DispatchPolicy {
+        mode: DispatchMode::Auto,
+        packed_thresholds,
+        ..DispatchPolicy::default()
+    }
 }
 
 /// Best-of-reps wall clock of one full lockstep presentation at
@@ -593,28 +560,27 @@ fn validate_packed_thresholds(
     cfg: &AutotuneConfig,
     eval: &EvalConfig,
     images: &[Vec<f32>],
-    density_thresholds: &[f32],
     packed_thresholds: &mut Vec<f32>,
 ) -> Result<(), SnnError> {
     if packed_thresholds.iter().all(|&t| t <= 0.0) {
         return Ok(());
     }
-    let policy_with = |packed: Vec<f32>| DispatchPolicy {
-        mode: DispatchMode::Auto,
-        thresholds: density_thresholds.to_vec(),
-        packed_thresholds: packed,
-        quant_thresholds: Vec::new(),
-        quant_eligible: Vec::new(),
-    };
     let mut accepted = vec![0.0; packed_thresholds.len()];
-    let mut best = engine_secs(net, width, cfg, eval, images, policy_with(accepted.clone()))?;
+    let mut best = engine_secs(
+        net,
+        width,
+        cfg,
+        eval,
+        images,
+        packed_policy(accepted.clone()),
+    )?;
     for k in 0..packed_thresholds.len() {
         if packed_thresholds[k] <= 0.0 {
             continue;
         }
         let mut trial = accepted.clone();
         trial[k] = packed_thresholds[k];
-        let t = engine_secs(net, width, cfg, eval, images, policy_with(trial.clone()))?;
+        let t = engine_secs(net, width, cfg, eval, images, packed_policy(trial.clone()))?;
         if t <= best * PLANE_COST_SLACK {
             accepted = trial;
             best = best.min(t);
@@ -659,13 +625,11 @@ fn policy_predictions(
 /// the speed grid — conv/pool stages always, since they have no weight
 /// matrix) are skipped: marking them eligible could only slow the
 /// engine down.
-#[allow(clippy::too_many_arguments)]
 fn gate_quant_eligibility(
     net: &SpikingNetwork,
     scheme: CodingScheme,
     cfg: &AutotuneConfig,
     width: usize,
-    density_thresholds: &[f32],
     packed_thresholds: &[f32],
     quant_thresholds: &[f32],
     rng: &mut StdRng,
@@ -680,13 +644,7 @@ fn gate_quant_eligibility(
     }
     let images = warmup_images(rng, cfg.quant_gate_images, net.input_len());
     let eval = EvalConfig::new(scheme, cfg.steps).with_phase_period(cfg.phase_period);
-    let base_policy = DispatchPolicy {
-        mode: DispatchMode::Auto,
-        thresholds: density_thresholds.to_vec(),
-        packed_thresholds: packed_thresholds.to_vec(),
-        quant_thresholds: Vec::new(),
-        quant_eligible: Vec::new(),
-    };
+    let base_policy = packed_policy(packed_thresholds.to_vec());
     let reference = policy_predictions(net, width, base_policy.clone(), &images, &eval)?;
     let agree_floor = 1.0 - cfg.quant_delta;
     let agreement = |preds: &[usize]| {
@@ -804,15 +762,15 @@ mod tests {
         let scheme = CodingScheme::new(InputCoding::Real, HiddenCoding::Rate);
         let policy = autotune_batch(&net, scheme, &quick_cfg()).unwrap();
         // One crossover per hidden stage plus the output synapse, for
-        // both challengers.
-        assert_eq!(policy.density_thresholds.len(), net.layers().len() + 1);
+        // both challengers; the removed sparse kernel's field stays
+        // empty.
+        assert!(policy.density_thresholds.is_empty());
         assert_eq!(policy.packed_thresholds.len(), net.layers().len() + 1);
         assert_eq!(policy.quant_thresholds.len(), net.layers().len() + 1);
         assert_eq!(policy.quant_eligible.len(), net.layers().len() + 1);
         for &th in policy
-            .density_thresholds
+            .packed_thresholds
             .iter()
-            .chain(&policy.packed_thresholds)
             .chain(&policy.quant_thresholds)
         {
             assert!((0.0..=1.01).contains(&th), "crossover {th} out of range");

@@ -26,25 +26,33 @@
 //! continue unperturbed — so a batch's per-step cost tracks its *live*
 //! width, and stragglers never pay for lanes that already answered.
 //!
-//! ## Sparsity-adaptive dispatch
+//! ## Kernel dispatch
 //!
 //! The dense lockstep kernels skip an input neuron only when it is
 //! silent in *every* lane, so at batch 16 a spike-sparse stage
 //! degenerates to dense work (almost every neuron is live in *some*
-//! lane). The engine therefore carries **two** execution strategies per
-//! stage and dispatches per (stage, step) on the input's measured spike
-//! density: below the stage's crossover it runs the sparse event-list
-//! kernel ([`crate::synapse::Synapse::accumulate_batch_sparse`]),
-//! whose cost scales
-//! with events per lane; above it, the dense kernel, whose weight reuse
-//! wins when most neurons are live anyway. The density probe is free —
-//! stage `k`'s input events are exactly stage `k − 1`'s spike counts
-//! for this step (already tallied by the fire kernel), and the input
-//! layer's events are counted while staging. Crossovers are
-//! per-stage and per-model: measure them with
-//! [`crate::autotune::autotune_batch`] and install via
-//! [`BatchedNetwork::set_dispatch`]. All strategies are bit-identical
-//! per lane, so dispatch only ever changes wall-clock.
+//! lane). The engine therefore picks one of three kernels per (stage,
+//! step) from the input's measured spike density:
+//!
+//! - **int8** ([`crate::quant::QuantizedDense`]) below the stage's
+//!   quant crossover, only on dense stages the autotuner's accuracy
+//!   gate cleared (it is approximate; the other two are bit-exact);
+//! - **packed** ([`crate::synapse::Synapse::accumulate_batch_packed`])
+//!   below the stage's packed crossover: `u64` lane masks whose replay
+//!   cost scales with events per lane;
+//! - **dense** ([`crate::synapse::Synapse::accumulate_batch`])
+//!   otherwise, whose weight reuse wins when most neurons are live
+//!   anyway.
+//!
+//! Packed and int8 need one mask bit per lane, so batches wider than 64
+//! lanes always run dense. The density probe is free — stage `k`'s
+//! input events are exactly stage `k − 1`'s spike counts for this step
+//! (already tallied by the fire kernel), and the input layer's events
+//! are counted while staging. Crossovers are per-stage and per-model:
+//! measure them with [`crate::autotune::autotune_batch`] and install
+//! via [`BatchedNetwork::set_dispatch`]. The f32 kernels are
+//! bit-identical per lane, so choosing between them only ever changes
+//! wall-clock.
 //!
 //! ## Periodic-input PSP caching
 //!
@@ -55,11 +63,9 @@
 //! staging copy, and the first-stage kernel outright, replaying the
 //! cached PSP (and cached per-lane input spike counts) bit-exactly.
 //! On the phase-burst MLP workload this turns the first stage from the
-//! dominant per-step cost into a single integration pass, and it is
-//! the main reason batch-16 lockstep beats the scalar engine ~3.6× on
-//! that workload (BENCH_core.json v3). The cache is invalidated
-//! whenever the lockstep width changes (lane retirement), and rebuilt
-//! over the next period.
+//! dominant per-step cost into a single integration pass. The cache is
+//! invalidated whenever the lockstep width changes (lane retirement),
+//! and rebuilt over the next period.
 //!
 //! [`Synapse`]: crate::synapse::Synapse
 
@@ -75,24 +81,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Density crossover used for stages without a calibrated threshold:
-/// inputs with fewer than this fraction of live (neuron, lane) entries
-/// run the sparse event-list kernel. The default is deliberately
-/// conservative toward dense — the dense kernel's worst case is
-/// bounded, while a wrongly sparse stage forfeits its weight reuse
-/// (and narrow output rows measured dense-faster even below 10%
-/// density) — so uncalibrated engines only go sparse when the input is
-/// almost silent. Measure the real crossover per stage with
-/// [`crate::autotune::autotune_batch`].
-pub const DEFAULT_DENSITY_CROSSOVER: f32 = 0.05;
-
 /// Packed-kernel crossover for stages without a calibrated threshold:
 /// below this density the bit-plane packed kernel
 /// ([`crate::synapse::Synapse::accumulate_batch_packed`]) runs instead
-/// of the sparse event replay. Uncalibrated it mirrors
-/// [`DEFAULT_DENSITY_CROSSOVER`] — the packed replay's register
-/// blocking makes it at worst the event path's equal, so wherever
-/// sparse used to win by default, packed now runs. Measure the real
+/// of the dense one. The default is deliberately conservative toward
+/// dense — the dense kernel's worst case is bounded, while a wrongly
+/// packed stage forfeits its weight reuse — so uncalibrated engines
+/// only go packed when the input is almost silent. Measure the real
 /// per-stage crossovers with [`crate::autotune::autotune_batch`].
 pub const DEFAULT_PACKED_CROSSOVER: f32 = 0.05;
 
@@ -106,25 +101,23 @@ pub const DEFAULT_PACKED_CROSSOVER: f32 = 0.05;
 /// threshold applies.
 pub const DEFAULT_QUANT_CROSSOVER: f32 = 0.05;
 
-/// How the engine chooses between the quantized, packed, sparse, and
-/// dense kernels.
+/// How the engine chooses between the quantized, packed, and dense
+/// kernels. Batches wider than 64 lanes run dense under every mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
     /// Per (stage, step): quantized below the stage's quant crossover
     /// (accuracy-gated stages only), else packed below the packed
-    /// crossover, else sparse below the density crossover, else dense.
+    /// crossover, else dense.
     #[default]
     Auto,
     /// Always the dense lockstep kernels (the pre-dispatch behavior).
     ForceDense,
-    /// Always the sparse event-list kernels.
-    ForceSparse,
     /// Always the bit-plane packed kernels.
     ForcePacked,
     /// Always the int8 quantized kernels where a stage has a quantized
-    /// table and the lockstep width fits the mask plane; other stages
-    /// fall back to the packed kernels. Bypasses the accuracy gate —
-    /// for benchmarks and the quant probe, not production serving.
+    /// table; other stages fall back to the packed kernels. Bypasses
+    /// the accuracy gate — for benchmarks and the quant probe, not
+    /// production serving.
     ForceQuantized,
 }
 
@@ -133,13 +126,13 @@ pub enum DispatchMode {
 pub struct DispatchPolicy {
     /// Strategy selection mode.
     pub mode: DispatchMode,
-    /// Per-stage density crossovers — one entry per hidden stage plus a
-    /// final entry for the output synapse. Missing entries (or an empty
-    /// vector) fall back to [`DEFAULT_DENSITY_CROSSOVER`].
+    /// Ignored: the crossovers of the removed sparse kernel, kept so
+    /// existing callers such as the `perfbench` harness still build.
     pub thresholds: Vec<f32>,
-    /// Per-stage packed-kernel crossovers, same layout. Below a
-    /// stage's entry the packed kernel preempts the sparse one;
-    /// missing entries fall back to [`DEFAULT_PACKED_CROSSOVER`].
+    /// Per-stage packed-kernel crossovers — one entry per hidden stage
+    /// plus a final entry for the output synapse. Below a stage's entry
+    /// the packed kernel runs instead of the dense one; missing entries
+    /// (or an empty vector) fall back to [`DEFAULT_PACKED_CROSSOVER`].
     pub packed_thresholds: Vec<f32>,
     /// Per-stage quantized-kernel crossovers, same layout; consulted
     /// only for stages marked eligible. Missing entries fall back to
@@ -157,19 +150,8 @@ impl DispatchPolicy {
     pub fn forced(mode: DispatchMode) -> Self {
         DispatchPolicy {
             mode,
-            thresholds: Vec::new(),
-            packed_thresholds: Vec::new(),
-            quant_thresholds: Vec::new(),
-            quant_eligible: Vec::new(),
+            ..DispatchPolicy::default()
         }
-    }
-
-    /// The sparse/dense crossover for one stage index.
-    fn threshold(&self, stage: usize) -> f32 {
-        self.thresholds
-            .get(stage)
-            .copied()
-            .unwrap_or(DEFAULT_DENSITY_CROSSOVER)
     }
 
     /// The packed crossover for one stage index.
@@ -200,8 +182,6 @@ impl DispatchPolicy {
 pub struct StageDispatchStats {
     /// Steps executed with the dense kernel.
     pub dense_steps: u64,
-    /// Steps executed with the sparse event-list kernel.
-    pub sparse_steps: u64,
     /// Steps executed with the bit-plane packed kernel.
     pub packed_steps: u64,
     /// Steps executed with the int8 quantized kernel.
@@ -215,7 +195,7 @@ pub struct StageDispatchStats {
 impl StageDispatchStats {
     /// Mean input density over the steps that ran a kernel.
     pub fn mean_density(&self) -> f64 {
-        let executed = self.dense_steps + self.sparse_steps + self.packed_steps + self.quant_steps;
+        let executed = self.dense_steps + self.packed_steps + self.quant_steps;
         if executed == 0 {
             0.0
         } else {
@@ -230,8 +210,6 @@ impl StageDispatchStats {
 pub enum KernelKind {
     /// The dense lockstep kernel ran.
     Dense,
-    /// The sparse event-list kernel ran.
-    Sparse,
     /// The bit-plane packed kernel ran.
     Packed,
     /// The int8 quantized kernel ran.
@@ -248,11 +226,11 @@ const DENSITY_FP: f64 = 1_000_000.0;
 #[derive(Debug, Default)]
 struct StageProfileCell {
     dense_steps: AtomicU64,
-    sparse_steps: AtomicU64,
     packed_steps: AtomicU64,
     quant_steps: AtomicU64,
     cached_steps: AtomicU64,
-    /// Density × [`DENSITY_FP`], summed over dense + sparse steps.
+    /// Density × [`DENSITY_FP`], summed over the steps that ran a
+    /// kernel.
     density_fp_sum: AtomicU64,
     /// Wall time of the stage's kernel + integrate + fire work, ns.
     kernel_nanos: AtomicU64,
@@ -300,30 +278,16 @@ impl ProfileSink {
         let Some(cell) = self.stages.get(stage) else {
             return; // sink sized for a different network: drop silently
         };
-        match kind {
-            KernelKind::Dense => {
-                cell.dense_steps.fetch_add(1, Ordering::Relaxed);
-                cell.density_fp_sum
-                    .fetch_add((density * DENSITY_FP) as u64, Ordering::Relaxed);
-            }
-            KernelKind::Sparse => {
-                cell.sparse_steps.fetch_add(1, Ordering::Relaxed);
-                cell.density_fp_sum
-                    .fetch_add((density * DENSITY_FP) as u64, Ordering::Relaxed);
-            }
-            KernelKind::Packed => {
-                cell.packed_steps.fetch_add(1, Ordering::Relaxed);
-                cell.density_fp_sum
-                    .fetch_add((density * DENSITY_FP) as u64, Ordering::Relaxed);
-            }
-            KernelKind::Quantized => {
-                cell.quant_steps.fetch_add(1, Ordering::Relaxed);
-                cell.density_fp_sum
-                    .fetch_add((density * DENSITY_FP) as u64, Ordering::Relaxed);
-            }
-            KernelKind::Cached => {
-                cell.cached_steps.fetch_add(1, Ordering::Relaxed);
-            }
+        let counter = match kind {
+            KernelKind::Dense => &cell.dense_steps,
+            KernelKind::Packed => &cell.packed_steps,
+            KernelKind::Quantized => &cell.quant_steps,
+            KernelKind::Cached => &cell.cached_steps,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if kind != KernelKind::Cached {
+            cell.density_fp_sum
+                .fetch_add((density * DENSITY_FP) as u64, Ordering::Relaxed);
         }
         cell.kernel_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
@@ -341,7 +305,6 @@ impl ProfileSink {
     pub fn reset(&self) {
         for cell in &self.stages {
             cell.dense_steps.store(0, Ordering::Relaxed);
-            cell.sparse_steps.store(0, Ordering::Relaxed);
             cell.packed_steps.store(0, Ordering::Relaxed);
             cell.quant_steps.store(0, Ordering::Relaxed);
             cell.cached_steps.store(0, Ordering::Relaxed);
@@ -361,10 +324,9 @@ impl ProfileSink {
                 .iter()
                 .map(|cell| {
                     let dense = cell.dense_steps.load(Ordering::Relaxed);
-                    let sparse = cell.sparse_steps.load(Ordering::Relaxed);
                     let packed = cell.packed_steps.load(Ordering::Relaxed);
                     let quant = cell.quant_steps.load(Ordering::Relaxed);
-                    let executed = dense + sparse + packed + quant;
+                    let executed = dense + packed + quant;
                     let mean_density = if executed == 0 {
                         0.0
                     } else {
@@ -374,7 +336,7 @@ impl ProfileSink {
                     };
                     StageProfileSnapshot {
                         dense_steps: dense,
-                        sparse_steps: sparse,
+                        sparse_steps: 0,
                         packed_steps: packed,
                         quant_steps: quant,
                         cached_steps: cell.cached_steps.load(Ordering::Relaxed),
@@ -408,7 +370,8 @@ pub struct ProfileSnapshot {
 pub struct StageProfileSnapshot {
     /// Steps executed with the dense kernel.
     pub dense_steps: u64,
-    /// Steps executed with the sparse event-list kernel.
+    /// Always 0: the sparse kernel is gone; kept so existing readers
+    /// such as the `perfbench` harness still build.
     pub sparse_steps: u64,
     /// Steps executed with the bit-plane packed kernel.
     pub packed_steps: u64,
@@ -425,11 +388,7 @@ pub struct StageProfileSnapshot {
 impl StageProfileSnapshot {
     /// Total steps accounted to this stage.
     pub fn total_steps(&self) -> u64 {
-        self.dense_steps
-            + self.sparse_steps
-            + self.packed_steps
-            + self.quant_steps
-            + self.cached_steps
+        self.dense_steps + self.packed_steps + self.quant_steps + self.cached_steps
     }
 }
 
@@ -457,10 +416,10 @@ struct StageState {
     g: Vec<f32>,
     psp: Vec<f32>,
     out: Vec<f32>,
-    /// Layout tag of `psp`: `true` when the sparse kernel last wrote it
-    /// lane-major (`[lane][neuron]`); the integration step folds either
-    /// layout into the batch-innermost membrane, so no standalone
-    /// transpose pass ever runs.
+    /// Layout tag of `psp`: `true` when the packed or int8 kernel last
+    /// wrote it lane-major (`[lane][neuron]`); the integration step
+    /// folds either layout into the batch-innermost membrane, so no
+    /// standalone transpose pass ever runs.
     psp_lane_major: bool,
     /// Bit-plane of `out`, built by `fire_lanes` in the same pass that
     /// writes the spikes: one `u64` per neuron, bit `b` set iff lane
@@ -973,7 +932,7 @@ impl BatchedNetwork {
             && match self.dispatch.mode {
                 DispatchMode::ForcePacked | DispatchMode::ForceQuantized => true,
                 DispatchMode::Auto => self.planes_useful(),
-                DispatchMode::ForceDense | DispatchMode::ForceSparse => false,
+                DispatchMode::ForceDense => false,
             };
         for (k, layer) in self.template.layers().iter().enumerate() {
             let stage_t0 = self.profile.is_some().then(Instant::now);
@@ -1011,7 +970,7 @@ impl BatchedNetwork {
                 let slot = &self.input_psp_cache[si];
                 // 2. Integration — a lane-major PSP is folded into the
                 // batch-innermost membrane in the same pass, so the
-                // sparse path never pays a standalone transpose.
+                // packed path never pays a standalone transpose.
                 integrate(&mut stage.vmem, &slot.psp, slot.lane_major, n, w);
                 (KernelKind::Cached, 0.0)
             } else {
@@ -1031,7 +990,7 @@ impl BatchedNetwork {
                     &mut self.scratch,
                     &mut self.stats[k],
                 )?;
-                // Sparse and packed kernels both write lane-major.
+                // Packed and int8 kernels both write lane-major.
                 let lane_major = kind != KernelKind::Dense;
                 stage.psp_lane_major = lane_major;
                 if let Some(tok) = token {
@@ -1169,9 +1128,10 @@ fn stage_events(stage_idx: usize, w: usize, input_nnz: &[usize], spike_counts: &
 
 /// Zeroes `psp`, runs whichever kernel the dispatch policy selects for
 /// this (stage, step) given the input's event count, and records the
-/// decision in `st`. Returns whether the PSP was produced lane-major —
-/// the shared dispatch body of the hidden-stage loop and the output
-/// accumulator in [`BatchedNetwork::step`].
+/// decision in `st`. Returns the kernel that ran; every kind but
+/// `Dense` writes the PSP lane-major. The shared dispatch body of the
+/// hidden-stage loop and the output accumulator in
+/// [`BatchedNetwork::step`].
 #[allow(clippy::too_many_arguments)]
 fn accumulate_dispatched(
     syn: &crate::synapse::Synapse,
@@ -1189,32 +1149,24 @@ fn accumulate_dispatched(
     st: &mut StageDispatchStats,
 ) -> Result<KernelKind, SnnError> {
     let density = events as f64 / (syn.input_len() * w) as f64;
-    // The int8 kernel needs a quantized table and a width that fits
-    // the 64-bit mask plane; elsewhere ForceQuantized degrades to the
-    // packed kernels (which themselves degrade to sparse past 64).
-    let quant_ok = quant.is_some() && w <= 64;
+    // The packed and int8 kernels hold one mask bit per lane, so wider
+    // batches run dense under every mode. Stages without an int8 table
+    // degrade from ForceQuantized to packed.
     let kind = match dispatch.mode {
+        _ if w > 64 => KernelKind::Dense,
         DispatchMode::ForceDense => KernelKind::Dense,
-        DispatchMode::ForceSparse => KernelKind::Sparse,
         DispatchMode::ForcePacked => KernelKind::Packed,
-        DispatchMode::ForceQuantized => {
-            if quant_ok {
-                KernelKind::Quantized
-            } else {
-                KernelKind::Packed
-            }
-        }
+        DispatchMode::ForceQuantized if quant.is_some() => KernelKind::Quantized,
+        DispatchMode::ForceQuantized => KernelKind::Packed,
         DispatchMode::Auto => {
             let d = density as f32;
-            if quant_ok
+            if quant.is_some()
                 && dispatch.stage_quant_eligible(stage_idx)
                 && d < dispatch.quant_threshold(stage_idx)
             {
                 KernelKind::Quantized
             } else if d < dispatch.packed_threshold(stage_idx) {
                 KernelKind::Packed
-            } else if d < dispatch.threshold(stage_idx) {
-                KernelKind::Sparse
             } else {
                 KernelKind::Dense
             }
@@ -1226,17 +1178,14 @@ fn accumulate_dispatched(
             syn.accumulate_batch(input, psp, w)?;
             st.dense_steps += 1;
         }
-        KernelKind::Sparse => {
-            syn.accumulate_batch_sparse(input, psp, w, scratch)?;
-            st.sparse_steps += 1;
-        }
         KernelKind::Packed => {
             // Hidden-fed stages replay the bit-plane fire built during
             // staging; stage 0 (and any caller without planes)
             // self-packs from the input SoA.
             match planes {
-                Some((masks, uniform)) => syn
-                    .accumulate_batch_packed_planes(input, psp, w, masks, uniform, base, scratch)?,
+                Some((masks, uniform)) => {
+                    syn.accumulate_batch_packed_planes(input, psp, w, masks, uniform, base)?
+                }
                 None => syn.accumulate_batch_packed(input, psp, w, base, scratch)?,
             }
             st.packed_steps += 1;
@@ -1969,7 +1918,6 @@ mod tests {
         let mut pots = Vec::new();
         for mode in [
             DispatchMode::ForceDense,
-            DispatchMode::ForceSparse,
             DispatchMode::ForcePacked,
             DispatchMode::Auto,
         ] {
@@ -1982,11 +1930,7 @@ mod tests {
             // Every (stage, step) is accounted to exactly one bucket.
             for st in engine.dispatch_stats() {
                 assert_eq!(
-                    st.dense_steps
-                        + st.sparse_steps
-                        + st.packed_steps
-                        + st.quant_steps
-                        + st.cached_steps,
+                    st.dense_steps + st.packed_steps + st.quant_steps + st.cached_steps,
                     7
                 );
                 assert!(st.mean_density() >= 0.0 && st.mean_density() <= 1.0);
@@ -1997,21 +1941,62 @@ mod tests {
                 "gate off by default"
             );
             match mode {
-                DispatchMode::ForceDense => {
-                    assert!(stats.iter().all(|s| s.sparse_steps + s.packed_steps == 0))
-                }
-                DispatchMode::ForceSparse => {
-                    assert!(stats.iter().all(|s| s.dense_steps + s.packed_steps == 0))
-                }
-                DispatchMode::ForcePacked => {
-                    assert!(stats.iter().all(|s| s.dense_steps + s.sparse_steps == 0))
-                }
+                DispatchMode::ForceDense => assert!(stats.iter().all(|s| s.packed_steps == 0)),
+                DispatchMode::ForcePacked => assert!(stats.iter().all(|s| s.dense_steps == 0)),
                 DispatchMode::ForceQuantized | DispatchMode::Auto => {}
             }
         }
-        assert_eq!(pots[0], pots[1], "sparse vs dense bit drift");
-        assert_eq!(pots[0], pots[2], "packed vs dense bit drift");
-        assert_eq!(pots[0], pots[3], "auto vs dense bit drift");
+        assert_eq!(pots[0], pots[1], "packed vs dense bit drift");
+        assert_eq!(pots[0], pots[2], "auto vs dense bit drift");
+    }
+
+    #[test]
+    fn lockstep_wider_than_the_mask_plane_runs_dense_under_every_mode() {
+        // 65 lanes do not fit a u64 lane mask, so the packed and int8
+        // kernels cannot run: every mode, and Auto with crossovers that
+        // would pick them on every step, must fall back to dense.
+        const WIDE: usize = 65;
+        let cfg = EvalConfig::new(real_rate(), 7);
+        let imgs: Vec<[f32; 2]> = (0..WIDE)
+            .map(|l| [(l % 7) as f32 / 6.0, ((l * 3) % 5) as f32 / 4.0])
+            .collect();
+        let refs: Vec<&[f32]> = imgs.iter().map(|i| i.as_slice()).collect();
+        let run_under = |dispatch: DispatchPolicy| {
+            let mut engine = BatchedNetwork::new(tiny_network(0.25), WIDE).unwrap();
+            engine.set_dispatch(dispatch);
+            let mut run = BatchedStepwiseInference::new(&mut engine, &refs, &cfg).unwrap();
+            assert_eq!(run.batch(), WIDE);
+            while run.advance().unwrap() {}
+            let pots: Vec<Vec<f32>> = (0..WIDE).map(|l| run.output_potentials(l)).collect();
+            (pots, engine.dispatch_stats().to_vec())
+        };
+        let (dense, _) = run_under(DispatchPolicy::forced(DispatchMode::ForceDense));
+        assert!(
+            dense.iter().any(|p| p.iter().any(|&v| v != 0.0)),
+            "no spikes"
+        );
+        let auto_everything = DispatchPolicy {
+            mode: DispatchMode::Auto,
+            packed_thresholds: vec![1.01; 2],
+            quant_thresholds: vec![1.01; 2],
+            quant_eligible: vec![true; 2],
+            ..DispatchPolicy::default()
+        };
+        for dispatch in [
+            DispatchPolicy::forced(DispatchMode::ForcePacked),
+            DispatchPolicy::forced(DispatchMode::ForceQuantized),
+            auto_everything,
+        ] {
+            let mode = dispatch.mode;
+            let (pots, stats) = run_under(dispatch);
+            for (lane, (got, want)) in pots.iter().zip(&dense).enumerate() {
+                let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(want), "{mode:?}: lane {lane}");
+            }
+            for st in &stats {
+                assert_eq!(st.dense_steps + st.cached_steps, 7, "{mode:?}: {st:?}");
+            }
+        }
     }
 
     #[test]
@@ -2040,7 +2025,7 @@ mod tests {
         // Dense stages all have tables, so every step runs the int8 kernel.
         for st in engine.dispatch_stats() {
             assert_eq!(st.quant_steps + st.cached_steps, 7);
-            assert_eq!(st.dense_steps + st.sparse_steps + st.packed_steps, 0);
+            assert_eq!(st.dense_steps + st.packed_steps, 0);
         }
     }
 
@@ -2074,7 +2059,7 @@ mod tests {
         // The profile's strategy mix mirrors the engine's dispatch stats.
         for (st, ds) in snap.stages.iter().zip(engine.dispatch_stats()) {
             assert_eq!(st.dense_steps, ds.dense_steps);
-            assert_eq!(st.sparse_steps, ds.sparse_steps);
+            assert_eq!(st.sparse_steps, 0);
             assert_eq!(st.packed_steps, ds.packed_steps);
             assert_eq!(st.quant_steps, ds.quant_steps);
             assert_eq!(st.cached_steps, ds.cached_steps);

@@ -186,7 +186,7 @@ impl QuantizedDense {
     /// (`[neuron][batch]`), then replays through
     /// [`Self::accumulate_packed_planes`]. `psp_lanes` is lane-major
     /// (`[lane][neuron]`) and **accumulated into** (callers zero it
-    /// first, as for the sparse/packed `f32` kernels).
+    /// first, as for the packed `f32` kernels).
     ///
     /// # Errors
     ///

@@ -546,10 +546,11 @@ pub fn evaluate_dataset_batched(
 
 /// [`evaluate_dataset_batched`] with an explicit kernel-dispatch policy
 /// installed into every worker's engine — pass the model's calibrated
-/// [`crate::autotune::BatchPolicy::density_thresholds`] so the
-/// sparse/dense decision runs at the measured crossovers instead of the
-/// conservative default. Dispatch never changes results, only
-/// wall-clock.
+/// [`crate::autotune::BatchPolicy::packed_thresholds`] (and int8
+/// crossovers and eligibility) so the packed/dense decision runs at the
+/// measured crossovers instead of the conservative default. The f32
+/// kernels never change results, only wall-clock; int8 stays within
+/// its accuracy gate.
 ///
 /// # Errors
 ///

@@ -10,8 +10,9 @@
 //! Format version 2 added a [`SnapshotMeta`] block (the model's
 //! autotuned `preferred_batch` lockstep width) between the header and
 //! the network body, so deployment-time measurements travel with the
-//! weights; version 3 extends the block with the per-stage sparse/dense
-//! density crossovers measured by the same autotuning pass, version 4
+//! weights; version 3 extends the block with per-stage density
+//! crossovers for an event-list kernel the engine no longer has (the
+//! field is still written and read, and ignored), version 4
 //! appends the packed/dense crossovers for the bit-plane kernels, and
 //! version 5 appends an FNV-1a 64 content checksum over the entire
 //! stream (magic through body) as an 8-byte little-endian trailer, so a
@@ -30,6 +31,10 @@
 //! directory and atomically renames it into place, so a directory
 //! watcher can never observe (let alone install) a half-written
 //! snapshot.
+//!
+//! Every length field is bounded before it is trusted, and buffers grow
+//! only as their bytes arrive, so a truncated or hostile stream fails
+//! with a typed error after allocating little more than its own size.
 //!
 //! Only the *static* structure is serialized (weights, thresholds,
 //! geometry); dynamic state (membrane potentials, burst functions) is
@@ -100,18 +105,16 @@ pub struct SnapshotMeta {
     /// (`0` = no preference recorded; see
     /// [`crate::autotune::autotune_batch`]).
     pub preferred_batch: u32,
-    /// Calibrated sparse/dense density crossovers — one per hidden
-    /// stage plus the output synapse, in stage order (empty = none
-    /// recorded; consumers fall back to
-    /// [`crate::batch::DEFAULT_DENSITY_CROSSOVER`]).
+    /// The v3+ on-disk field of the removed sparse kernel's crossovers:
+    /// still written and read so the format stays v6, and ignored.
     pub density_thresholds: Vec<f32>,
     /// Calibrated packed/dense density crossovers for the bit-plane
-    /// kernels, same layout as `density_thresholds` (empty = none
-    /// recorded; consumers fall back to
+    /// kernels — one per hidden stage plus the output synapse, in stage
+    /// order (empty = none recorded; consumers fall back to
     /// [`crate::batch::DEFAULT_PACKED_CROSSOVER`]).
     pub packed_thresholds: Vec<f32>,
     /// Calibrated quant/dense density crossovers for the int8 kernels,
-    /// same layout as `density_thresholds` (empty = none recorded;
+    /// same layout as `packed_thresholds` (empty = none recorded;
     /// consumers fall back to
     /// [`crate::batch::DEFAULT_QUANT_CROSSOVER`]).
     pub quant_thresholds: Vec<f32>,
@@ -210,18 +213,35 @@ fn read_f32<R: Read>(r: &mut R) -> io::Result<f32> {
     Ok(f32::from_le_bytes(b))
 }
 
-fn read_f32_vec<R: Read>(r: &mut R) -> Result<Vec<f32>, SnapshotError> {
+/// Largest weight or bias buffer a snapshot may declare, in elements.
+const MAX_BUFFER_LEN: usize = 1 << 28;
+
+/// Largest per-stage metadata list (crossovers, flags, int8 tables) a
+/// snapshot may declare: one entry per stage of at most 4096 layers.
+const MAX_STAGE_COUNT: usize = 4097;
+
+/// Largest up-front reservation a declared length may trigger, in
+/// bytes. Longer buffers grow as their bytes arrive, so a length field
+/// alone can never make the loader allocate more than this.
+const MAX_PREALLOC_BYTES: usize = 64 << 10;
+
+/// Reads a length-prefixed `f32` list of at most `max` entries; `what`
+/// names the list in the error for a longer declared length.
+fn read_f32_vec<R: Read>(r: &mut R, max: usize, what: &str) -> Result<Vec<f32>, SnapshotError> {
     let len = read_u32(r)? as usize;
-    if len > 1 << 28 {
-        return Err(SnapshotError::Format(format!(
-            "implausible buffer length {len}"
-        )));
+    if len > max {
+        return Err(SnapshotError::Format(format!("implausible {what} {len}")));
     }
-    let mut out = Vec::with_capacity(len);
+    let mut out = Vec::with_capacity(len.min(MAX_PREALLOC_BYTES / 4));
     for _ in 0..len {
         out.push(read_f32(r)?);
     }
     Ok(out)
+}
+
+/// A weight or bias buffer.
+fn read_buffer<R: Read>(r: &mut R) -> Result<Vec<f32>, SnapshotError> {
+    read_f32_vec(r, MAX_BUFFER_LEN, "buffer length")
 }
 
 fn write_bool_slice<W: Write>(w: &mut W, v: &[bool]) -> io::Result<()> {
@@ -234,7 +254,7 @@ fn write_bool_slice<W: Write>(w: &mut W, v: &[bool]) -> io::Result<()> {
 
 fn read_bool_vec<R: Read>(r: &mut R) -> Result<Vec<bool>, SnapshotError> {
     let len = read_u32(r)? as usize;
-    if len > 4097 {
+    if len > MAX_STAGE_COUNT {
         return Err(SnapshotError::Format(format!(
             "implausible flag count {len}"
         )));
@@ -280,12 +300,12 @@ fn read_quant_tables<R: Read>(
     r: &mut R,
 ) -> Result<Vec<Option<crate::quant::QuantizedDense>>, SnapshotError> {
     let len = read_u32(r)? as usize;
-    if len > 4097 {
+    if len > MAX_STAGE_COUNT {
         return Err(SnapshotError::Format(format!(
             "implausible quant table count {len}"
         )));
     }
-    let mut out = Vec::with_capacity(len);
+    let mut out = Vec::new();
     for _ in 0..len {
         let mut tag = [0u8; 1];
         r.read_exact(&mut tag)?;
@@ -294,15 +314,21 @@ fn read_quant_tables<R: Read>(
             1 => {
                 let in_len = read_u32(r)? as usize;
                 let out_len = read_u32(r)? as usize;
-                if in_len == 0 || out_len == 0 || in_len.saturating_mul(out_len) > 1 << 28 {
+                let n = in_len.saturating_mul(out_len);
+                if in_len == 0 || out_len == 0 || n > MAX_BUFFER_LEN {
                     return Err(SnapshotError::Format(format!(
                         "implausible quant table shape {in_len}x{out_len}"
                     )));
                 }
-                let mut bytes = vec![0u8; in_len * out_len];
-                r.read_exact(&mut bytes)?;
+                // Grow with the bytes actually present: `read_to_end`
+                // at most doubles what has arrived.
+                let mut bytes = Vec::with_capacity(n.min(MAX_PREALLOC_BYTES));
+                r.by_ref().take(n as u64).read_to_end(&mut bytes)?;
+                if bytes.len() != n {
+                    return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+                }
                 let codes: Vec<i8> = bytes.into_iter().map(|b| b as i8).collect();
-                let mut scales = Vec::with_capacity(out_len);
+                let mut scales = Vec::with_capacity(out_len.min(MAX_PREALLOC_BYTES / 4));
                 for _ in 0..out_len {
                     scales.push(read_f32(r)?);
                 }
@@ -393,7 +419,7 @@ fn read_synapse<R: Read>(r: &mut R) -> Result<Synapse, SnapshotError> {
         0 => {
             let rows = read_u32(r)? as usize;
             let cols = read_u32(r)? as usize;
-            let data = read_f32_vec(r)?;
+            let data = read_buffer(r)?;
             let weight = Tensor::from_vec(data, &[rows, cols])
                 .map_err(|e| SnapshotError::Invalid(e.into()))?;
             Ok(Synapse::Dense { weight })
@@ -405,7 +431,7 @@ fn read_synapse<R: Read>(r: &mut R) -> Result<Synapse, SnapshotError> {
             let geom = read_geom(r)?;
             let in_shape = read_chw(r)?;
             let out_shape = read_chw(r)?;
-            let data = read_f32_vec(r)?;
+            let data = read_buffer(r)?;
             let weight =
                 Tensor::from_vec(data, &shape).map_err(|e| SnapshotError::Invalid(e.into()))?;
             Ok(Synapse::Conv {
@@ -612,33 +638,14 @@ pub fn load_network_with_meta<R: Read>(
         },
         3..=6 => {
             let preferred_batch = read_u32(&mut reader)?;
-            let density_thresholds = read_f32_vec(&mut reader)?;
-            if density_thresholds.len() > 4097 {
-                return Err(SnapshotError::Format(format!(
-                    "implausible threshold count {}",
-                    density_thresholds.len()
-                )));
-            }
+            let density_thresholds = read_f32_vec(&mut reader, MAX_STAGE_COUNT, "threshold count")?;
             let packed_thresholds = if version >= 4 {
-                let v = read_f32_vec(&mut reader)?;
-                if v.len() > 4097 {
-                    return Err(SnapshotError::Format(format!(
-                        "implausible packed threshold count {}",
-                        v.len()
-                    )));
-                }
-                v
+                read_f32_vec(&mut reader, MAX_STAGE_COUNT, "packed threshold count")?
             } else {
                 Vec::new()
             };
             let (quant_thresholds, quant_eligible, quant_tables) = if version >= 6 {
-                let th = read_f32_vec(&mut reader)?;
-                if th.len() > 4097 {
-                    return Err(SnapshotError::Format(format!(
-                        "implausible quant threshold count {}",
-                        th.len()
-                    )));
-                }
+                let th = read_f32_vec(&mut reader, MAX_STAGE_COUNT, "quant threshold count")?;
                 let el = read_bool_vec(&mut reader)?;
                 let tables = read_quant_tables(&mut reader)?;
                 (th, el, tables)
@@ -667,7 +674,7 @@ pub fn load_network_with_meta<R: Read>(
             "implausible layer count {n_layers}"
         )));
     }
-    let mut layers = Vec::with_capacity(n_layers);
+    let mut layers = Vec::new();
     for _ in 0..n_layers {
         let policy = read_policy(&mut reader)?;
         let reset = match read_u32(&mut reader)? {
@@ -677,7 +684,7 @@ pub fn load_network_with_meta<R: Read>(
         };
         let bias = match read_u32(&mut reader)? {
             0 => None,
-            1 => Some(read_f32_vec(&mut reader)?),
+            1 => Some(read_buffer(&mut reader)?),
             tag => return Err(SnapshotError::Format(format!("unknown bias tag {tag}"))),
         };
         let synapse = read_synapse(&mut reader)?;
@@ -688,7 +695,7 @@ pub fn load_network_with_meta<R: Read>(
     let output_synapse = read_synapse(&mut reader)?;
     let output_bias = match read_u32(&mut reader)? {
         0 => None,
-        1 => Some(read_f32_vec(&mut reader)?),
+        1 => Some(read_buffer(&mut reader)?),
         tag => return Err(SnapshotError::Format(format!("unknown bias tag {tag}"))),
     };
     let net = SpikingNetwork::new(input_len, layers, output_synapse, output_bias)?;

@@ -211,24 +211,22 @@ fn main() -> ExitCode {
         let policy =
             autotune_batch(&snn, scheme, &AutotuneConfig::default()).expect("autotune probe");
         println!(
-            "autotune: preferred lockstep width {} ({:.2}x vs scalar), density crossovers {:?}, packed crossovers {:?}, quant crossovers {:?} (eligible {:?})",
+            "autotune: preferred lockstep width {} ({:.2}x vs scalar), packed crossovers {:?}, quant crossovers {:?} (eligible {:?})",
             policy.preferred_batch,
             policy.speedup_vs_scalar(),
-            policy.density_thresholds,
             policy.packed_thresholds,
             policy.quant_thresholds,
             policy.quant_eligible
         );
         SnapshotMeta {
             preferred_batch: policy.preferred_batch as u32,
-            density_thresholds: policy.density_thresholds,
             packed_thresholds: policy.packed_thresholds,
             quant_thresholds: policy.quant_thresholds,
             quant_eligible: policy.quant_eligible,
             // Workers' engines derive their own int8 tables from the
             // f32 weights; blobs are only needed when shipping the
             // gated quantization verbatim.
-            quant_tables: Vec::new(),
+            ..SnapshotMeta::default()
         }
     } else {
         SnapshotMeta::default()

@@ -20,7 +20,7 @@
 //!   of a dump — used by `bsnn_loadgen --check-shed-metrics` to
 //!   reconcile observed SHED responses against the server's counters.
 //! * **Stage profiles** — [`format_profile`] renders a
-//!   [`bsnn_core::ProfileSnapshot`] (per-stage dense/sparse/packed/
+//!   [`bsnn_core::ProfileSnapshot`] (per-stage dense/packed/quant/
 //!   cached kernel counts, mean firing density, kernel wall time) the way the
 //!   demo binaries print it at exit; the same numbers appear as
 //!   `bsnn_model_stage_*` series in the Prometheus dump.
@@ -455,11 +455,6 @@ impl MetricsHub {
                 );
                 let _ = writeln!(
                     out,
-                    "bsnn_model_stage_sparse_steps_total{{model=\"{label}\",stage=\"{stage}\"}} {}",
-                    s.sparse_steps
-                );
-                let _ = writeln!(
-                    out,
                     "bsnn_model_stage_packed_steps_total{{model=\"{label}\",stage=\"{stage}\"}} {}",
                     s.packed_steps
                 );
@@ -560,7 +555,7 @@ pub fn parse_metric(text: &str, name: &str) -> Option<f64> {
 
 /// Renders a per-model [`ProfileSnapshot`] the way the demo binaries
 /// print it at exit: one line per stage with the
-/// dense/sparse/packed/cached kernel mix, mean firing density, and
+/// dense/packed/quant/cached kernel mix, mean firing density, and
 /// kernel wall time.
 pub fn format_profile(model: &str, profile: &ProfileSnapshot) -> String {
     let mut out = String::new();
@@ -574,9 +569,8 @@ pub fn format_profile(model: &str, profile: &ProfileSnapshot) -> String {
     for (stage, s) in profile.stages.iter().enumerate() {
         let _ = writeln!(
             out,
-            "  stage {stage}: dense {} sparse {} packed {} quant {} cached {}  density {:.4}  kernel {:.2} ms",
+            "  stage {stage}: dense {} packed {} quant {} cached {}  density {:.4}  kernel {:.2} ms",
             s.dense_steps,
-            s.sparse_steps,
             s.packed_steps,
             s.quant_steps,
             s.cached_steps,

@@ -10,13 +10,13 @@
 //! request.
 //!
 //! An entry can carry a **preferred lockstep batch width** and
-//! per-stage **density crossovers** — measured per model by
+//! per-stage **kernel crossovers** — measured per model by
 //! [`bsnn_core::autotune::autotune_batch`], loaded from snapshot
 //! metadata, or set explicitly. Workers split every popped micro-batch
 //! into per-model sub-batches at the preferred width and install the
-//! crossovers into their lockstep engines, so an event-skip-bound MLP
-//! runs the sparse event-list kernels while a conv model in the same
-//! queue runs the dense weight-reuse kernels 16 lanes wide.
+//! crossovers into their lockstep engines, so each model runs the
+//! packed, int8 or dense kernel where its own calibration found it
+//! fastest, at its own width.
 
 use crate::error::ServeError;
 use bsnn_core::autotune::{autotune_batch, AutotuneConfig, BatchPolicy};
@@ -81,9 +81,9 @@ impl ModelEntry {
         self.preferred_batch
     }
 
-    /// Calibrated per-stage sparse/dense density crossovers for this
-    /// model's lockstep engines (empty = none measured; engines fall
-    /// back to [`bsnn_core::batch::DEFAULT_DENSITY_CROSSOVER`]).
+    /// The snapshot's v3+ density-crossover field, stored as installed
+    /// and ignored by the engines; kept so existing readers such as
+    /// the `perfbench` harness still build.
     pub fn density_thresholds(&self) -> &[f32] {
         &self.density_thresholds
     }
@@ -197,7 +197,7 @@ impl ModelRegistry {
 
     /// [`install`](Self::install) carrying a full measured
     /// [`BatchPolicy`] — the preferred lockstep width plus the
-    /// per-stage density crossovers.
+    /// per-stage kernel crossovers and int8 eligibility.
     pub fn install_with_policy(
         &self,
         name: impl Into<String>,
@@ -283,9 +283,9 @@ impl ModelRegistry {
 
     /// Installs a model from a `BSNN` snapshot stream (the format
     /// written by [`bsnn_core::snapshot::save_network`]). A snapshot's
-    /// `preferred_batch` and `density_thresholds` metadata become the
-    /// entry's batch preference and dispatch crossovers, so autotuned
-    /// deployments survive the save/ship/load round trip.
+    /// `preferred_batch`, crossover, eligibility and int8-table metadata
+    /// become the entry's batch preference and dispatch policy, so
+    /// autotuned deployments survive the save/ship/load round trip.
     ///
     /// # Errors
     ///

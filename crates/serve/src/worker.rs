@@ -95,10 +95,10 @@ fn build_cached(
         .expect("max_batch validated at runtime start");
     engine.set_dispatch(DispatchPolicy {
         mode: DispatchMode::Auto,
-        thresholds: entry.density_thresholds().to_vec(),
         packed_thresholds: entry.packed_thresholds().to_vec(),
         quant_thresholds: entry.quant_thresholds().to_vec(),
         quant_eligible: entry.quant_eligible().to_vec(),
+        ..DispatchPolicy::default()
     });
     // Snapshot-shipped int8 tables override the engine's self-derived
     // ones, so serving runs the exact quantization the accuracy gate

@@ -172,7 +172,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Per-stage engine profile: which kernel each stage ran (dense,
-    // sparse, or PSP-cache replay) and where the stepping time went.
+    // packed, int8, or PSP-cache replay) and where the stepping time
+    // went.
     println!("\nengine profiles:");
     for name in registry.names() {
         if let Some(entry) = registry.get(&name) {
