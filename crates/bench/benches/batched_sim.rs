@@ -14,14 +14,15 @@
 //!
 //! The `conv_kernel` group times the kernel alone: one
 //! `Synapse::accumulate_batch` call on VGG-small's two costliest conv
-//! shapes, at lockstep widths 1 (the scalar scatter), 4 and 16 (the
-//! register-blocked output-stationary kernel).
+//! shapes, at lockstep widths 1 (the scalar scatter), 4, 8 and 16 (the
+//! register-blocked output-stationary kernel, whose widths 8 and 16 run
+//! its AVX instance where the CPU has AVX; the group prints which).
 
 use bsnn_core::batch::{BatchedNetwork, BatchedStepwiseInference};
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::convert::{convert, ConversionConfig};
 use bsnn_core::simulator::{EvalConfig, StepwiseInference};
-use bsnn_core::synapse::{Chw, Synapse};
+use bsnn_core::synapse::{self, Chw, Synapse};
 use bsnn_core::SpikingNetwork;
 use bsnn_data::SynthSpec;
 use bsnn_dnn::models;
@@ -135,6 +136,10 @@ fn bench_batched_sim(c: &mut Criterion) {
 /// 16×16) and stage 4 (64→64, 8×8), 3×3 kernels with pad 1, on a seeded
 /// input where ~25% of lane values spike.
 fn bench_conv_kernel(c: &mut Criterion) {
+    println!(
+        "conv_kernel: widths 8 and 16 run the {} instance",
+        synapse::conv_instance()
+    );
     let mut group = c.benchmark_group("conv_kernel");
     group.sample_size(10);
     for (stage, c_in, c_out, hw) in [("stage1", 32, 32, 16), ("stage4", 64, 64, 8)] {
@@ -145,7 +150,7 @@ fn bench_conv_kernel(c: &mut Criterion) {
             in_shape: Chw::new(c_in, hw, hw),
             out_shape: Chw::new(c_out, hw, hw),
         };
-        for width in [1usize, 4, 16] {
+        for width in [1usize, 4, 8, 16] {
             let input: Vec<f32> = (0..syn.input_len() * width)
                 .map(|_| {
                     if rng.gen_range(0.0..1.0f32) < 0.25 {

@@ -486,8 +486,9 @@ fn main() {
     let mlp_b16_speedup = mlp_rec.b16_speedup;
     let cnn_b16_speedup = cnn_rec.b16_speedup;
     let rustc_version = env!("BSNN_RUSTC_VERSION");
+    let conv_instance = bsnn_core::synapse::conv_instance();
     let core = format!(
-        "{{\n  \"schema\": \"bsnn-bench-core-v7\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"note\": \"lane-steps/s = images × time-steps simulated per wall-clock second; sequential = {SIM_BATCH} back-to-back single-image runs; batch* rows run the density-dispatching engine at the autotuned crossovers, batch16_forced_dense pins the pre-dispatch dense kernels, batch16_forced_packed pins the bit-plane mask kernels (u64 activity masks + power-of-two exponent planes, register-blocked replay), and batch16_forced_quant pins the int8 fixed-point kernels (symmetric per-column scales, i32 PSP accumulation, burst magnitudes folded in as shifts); dispatch_batch16 records each stage's measured density and strategy mix (dense/packed/quant/cached) plus kernel_ms of stage wall time summed over all {SIM_REPS} measurement reps (ProfileSink); dataset_eval = full evaluate_dataset passes (batched width from the autotuner)\",\n  \"workloads\": [\n    {},\n    {}\n  ],\n  \"dataset_eval\": [\n    {},\n    {}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"bsnn-bench-core-v7\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"conv_instance\": \"{conv_instance}\",\n  \"note\": \"lane-steps/s = images × time-steps simulated per wall-clock second; sequential = {SIM_BATCH} back-to-back single-image runs; batch* rows run the density-dispatching engine at the autotuned crossovers, batch16_forced_dense pins the pre-dispatch dense kernels, batch16_forced_packed pins the bit-plane mask kernels (u64 activity masks + power-of-two exponent planes, register-blocked replay), and batch16_forced_quant pins the int8 fixed-point kernels (symmetric per-column scales, i32 PSP accumulation, burst magnitudes folded in as shifts); dispatch_batch16 records each stage's measured density and strategy mix (dense/packed/quant/cached) plus kernel_ms of stage wall time summed over all {SIM_REPS} measurement reps (ProfileSink); dataset_eval = full evaluate_dataset passes (batched width from the autotuner)\",\n  \"workloads\": [\n    {},\n    {}\n  ],\n  \"dataset_eval\": [\n    {},\n    {}\n  ]\n}}\n",
         mlp_rec.json,
         cnn_rec.json,
         eval_record("mlp_144_32_10", &mlp, &mlp_test, mlp_scheme),
@@ -561,7 +562,7 @@ fn main() {
 
     eprintln!("measuring serving throughput...");
     let serve = format!(
-        "{{\n  \"schema\": \"bsnn-bench-serve-v7\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"note\": \"one closed-loop wave per config (cold worker engines included), confidence-margin early exit (horizon 96); latency percentiles are within-bucket interpolated log-bucket ranks; batch_policy=autotuned splits popped micro-batches to the model's measured width and installs its packed and quant crossovers (int8 only where the accuracy gate passed); ragged lockstep chunks are padded to fixed widths with dead lanes; stage_profile comes from the engine ProfileSink (kernel_ms = stage wall time over the whole wave, packed_steps = bit-plane kernel selections, quant_steps = int8 kernel selections)\",\n  \"configs\": [\n    {},\n    {},\n    {},\n    {},\n    {},\n    {}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"bsnn-bench-serve-v7\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"conv_instance\": \"{conv_instance}\",\n  \"note\": \"one closed-loop wave per config (cold worker engines included), confidence-margin early exit (horizon 96); latency percentiles are within-bucket interpolated log-bucket ranks; batch_policy=autotuned splits popped micro-batches to the model's measured width and installs its packed and quant crossovers (int8 only where the accuracy gate passed); ragged lockstep chunks are padded to fixed widths with dead lanes; stage_profile comes from the engine ProfileSink (kernel_ms = stage wall time over the whole wave, packed_steps = bit-plane kernel selections, quant_steps = int8 kernel selections)\",\n  \"configs\": [\n    {},\n    {},\n    {},\n    {},\n    {},\n    {}\n  ]\n}}\n",
         serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 1, mlp_wave, false),
         serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 8, mlp_wave, false),
         serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 8, mlp_wave, true),

@@ -123,15 +123,18 @@ pub fn autotune_cached(
 
 /// The toolchain identity folded into every autotune cache key: the
 /// rustc that compiled this binary plus its enabled target features
-/// (both captured by `build.rs`). A toolchain bump or a
-/// `-C target-cpu`/`target-feature` change alters codegen — and with it
-/// the relative cost of scalar vs lockstep kernels — so measurements
-/// made under the old toolchain must miss the cache, not silently load.
+/// (both captured by `build.rs`), and the conv kernel instance this CPU
+/// runs ([`bsnn_core::synapse::conv_instance`], chosen at run time). A
+/// toolchain bump, a `-C target-cpu`/`target-feature` change or a
+/// different instance alters the relative cost of scalar vs lockstep
+/// kernels, so measurements made under the old ones must miss the
+/// cache, not silently load.
 fn toolchain_salt() -> String {
     format!(
-        "{}|{}",
+        "{}|{}|{}",
         env!("BSNN_RUSTC_VERSION"),
-        env!("BSNN_TARGET_FEATURES")
+        env!("BSNN_TARGET_FEATURES"),
+        bsnn_core::synapse::conv_instance()
     )
 }
 
@@ -146,14 +149,15 @@ fn autotune_cache_path(
 ) -> Option<PathBuf> {
     let mut model_bytes = Vec::new();
     bsnn_core::snapshot::save_network(net, &mut model_bytes).ok()?;
-    // "at5" salts the key with the cache-entry format generation: bump
+    // "at6" salts the key with the cache-entry format generation: bump
     // it when the probe or the kernels change meaningfully, so stale
     // measurements from older binaries are not reused (at3 = int8 quant
     // kernels + quant_thresholds/quant_eligible lines + accuracy gate;
     // at4 = output-stationary conv kernel at widths 4, 8 and 16;
-    // at5 = sparse kernel removed, no `thresholds` line).
+    // at5 = sparse kernel removed, no `thresholds` line;
+    // at6 = AVX conv instance at widths 8 and 16, salt names the instance).
     let tag = format!(
-        "at5|{salt}|{scheme}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
+        "at6|{salt}|{scheme}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
         cfg.widths,
         cfg.steps,
         cfg.reps,
@@ -663,9 +667,12 @@ mod tests {
         let old = autotune_cache_path(&net, scheme, &cfg, "rustc 1.0.0 (old)|").unwrap();
         let new = autotune_cache_path(&net, scheme, &cfg, "rustc 2.0.0 (new)|+avx2").unwrap();
         assert_ne!(old, new, "salt must be part of the key");
-        // And the live key uses the compiled-in toolchain identity.
+        // And the live key uses the compiled-in toolchain identity and
+        // the conv instance chosen at run time.
         let live = autotune_cache_path(&net, scheme, &cfg, &toolchain_salt()).unwrap();
         assert_ne!(live, old);
+        let instance = bsnn_core::synapse::conv_instance();
+        assert!(toolchain_salt().ends_with(&format!("|{instance}")));
 
         // End to end: populate under one salt, then probe under another —
         // the second salt must re-measure (its file appears), never read

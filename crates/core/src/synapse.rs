@@ -10,8 +10,12 @@
 //! The lockstep kernels run several images at once. Most skip an input
 //! only when all of its lanes are silent; the conv kernel at 4, 8 and 16
 //! lanes skips nothing and keeps blocks of outputs in registers instead
-//! (output-stationary). Every `f32` kernel matches the scalar path bit
-//! for bit under the condition stated on [`Synapse::accumulate_batch`].
+//! (output-stationary). That kernel is one loop nest built twice, over
+//! 4-lane SSE and 8-lane AVX registers; widths 8 and 16 run the AVX
+//! instance when the CPU has AVX, detected at run time
+//! ([`conv_instance`] names the one in use). Every `f32` kernel matches
+//! the scalar path bit for bit under the condition stated on
+//! [`Synapse::accumulate_batch`].
 
 use crate::SnnError;
 use bsnn_tensor::conv::Conv2dGeometry;
@@ -65,43 +69,71 @@ fn lane_fma(p: &mut [f32], lanes: &[f32], w: f32) {
     }
 }
 
-/// Four lanes of a register-held accumulator in [`conv_gather`]: one
-/// SSE vector on x86-64. [`Quad::mul_add`] is a separate `_mm_mul_ps`
-/// and `_mm_add_ps`, so it rounds exactly like [`lane_fma`] and the
-/// scalar `p += s * w`.
+/// One SIMD register of lanes in [`conv_gather`]'s accumulator block.
+/// The loop nest is written once over this trait and built twice: with
+/// [`Quad`] (SSE, on every x86-64 CPU) and with [`Oct`] (AVX, chosen at
+/// run time). Both round `mul_add` exactly like the scalar `p += s * w`.
+///
+/// A value is only made by the `unsafe` constructors, whose contract
+/// includes the CPU running the register's instructions; holding one is
+/// the proof that [`LaneReg::mul_add`] may run them.
+trait LaneReg: Copy {
+    /// Floats per register.
+    const LANES: usize;
+
+    /// Reads the `LANES` floats at `p`.
+    ///
+    /// # Safety
+    ///
+    /// `[p, p + LANES)` must be in bounds of one live allocation, and the
+    /// CPU must run the register's instructions.
+    unsafe fn load(p: *const f32) -> Self;
+
+    /// Writes the `LANES` floats at `p`.
+    ///
+    /// # Safety
+    ///
+    /// `[p, p + LANES)` must be in bounds of one live, writable
+    /// allocation.
+    unsafe fn store(self, p: *mut f32);
+
+    /// `w` in every lane.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must run the register's instructions.
+    unsafe fn splat(w: f32) -> Self;
+
+    /// `self + x · w` per lane, rounded after the multiply and the add.
+    fn mul_add(self, x: Self, w: Self) -> Self;
+}
+
+/// Four lanes: one SSE vector on x86-64. [`LaneReg::mul_add`] is a
+/// separate `_mm_mul_ps` and `_mm_add_ps`, so it rounds exactly like
+/// [`lane_fma`]. SSE is baseline on x86-64, so every CPU runs it.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct Quad(core::arch::x86_64::__m128);
 
 #[cfg(target_arch = "x86_64")]
-impl Quad {
-    /// Reads the four floats at `p`.
-    ///
-    /// # Safety
-    ///
-    /// `[p, p + 4)` must be in bounds of one live allocation.
+impl LaneReg for Quad {
+    const LANES: usize = 4;
+
     #[inline(always)]
     unsafe fn load(p: *const f32) -> Self {
         Quad(core::arch::x86_64::_mm_loadu_ps(p))
     }
 
-    /// Writes the four floats at `p`.
-    ///
-    /// # Safety
-    ///
-    /// `[p, p + 4)` must be in bounds of one live, writable allocation.
     #[inline(always)]
     unsafe fn store(self, p: *mut f32) {
         core::arch::x86_64::_mm_storeu_ps(p, self.0)
     }
 
     #[inline(always)]
-    fn splat(w: f32) -> Self {
-        // SAFETY: SSE is baseline on x86-64.
-        Quad(unsafe { core::arch::x86_64::_mm_set1_ps(w) })
+    unsafe fn splat(w: f32) -> Self {
+        Quad(core::arch::x86_64::_mm_set1_ps(w))
     }
 
-    /// `self + x · w` per lane, rounded after the multiply and the add.
     #[inline(always)]
     fn mul_add(self, x: Quad, w: Quad) -> Self {
         use core::arch::x86_64::{_mm_add_ps, _mm_mul_ps};
@@ -116,33 +148,24 @@ impl Quad {
 struct Quad([f32; 4]);
 
 #[cfg(not(target_arch = "x86_64"))]
-impl Quad {
-    /// Reads the four floats at `p`.
-    ///
-    /// # Safety
-    ///
-    /// `[p, p + 4)` must be in bounds of one live allocation.
+impl LaneReg for Quad {
+    const LANES: usize = 4;
+
     #[inline(always)]
     unsafe fn load(p: *const f32) -> Self {
         Quad(p.cast::<[f32; 4]>().read_unaligned())
     }
 
-    /// Writes the four floats at `p`.
-    ///
-    /// # Safety
-    ///
-    /// `[p, p + 4)` must be in bounds of one live, writable allocation.
     #[inline(always)]
     unsafe fn store(self, p: *mut f32) {
         p.cast::<[f32; 4]>().write_unaligned(self.0)
     }
 
     #[inline(always)]
-    fn splat(w: f32) -> Self {
+    unsafe fn splat(w: f32) -> Self {
         Quad([w; 4])
     }
 
-    /// `self + x · w` per lane, rounded after the multiply and the add.
     #[inline(always)]
     fn mul_add(self, x: Quad, w: Quad) -> Self {
         let mut r = self.0;
@@ -150,6 +173,74 @@ impl Quad {
             *r += x * w;
         }
         Quad(r)
+    }
+}
+
+/// Eight lanes: one AVX vector. [`LaneReg::mul_add`] is a separate
+/// `_mm256_mul_ps` and `_mm256_add_ps` (no FMA), so it rounds exactly
+/// like [`Quad`]. Its methods compile to AVX instructions only once
+/// inlined into a `#[target_feature(enable = "avx")]` function
+/// ([`conv_gather_avx`]); elsewhere they are calls.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Oct(core::arch::x86_64::__m256);
+
+#[cfg(target_arch = "x86_64")]
+impl LaneReg for Oct {
+    const LANES: usize = 8;
+
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        Oct(core::arch::x86_64::_mm256_loadu_ps(p))
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        core::arch::x86_64::_mm256_storeu_ps(p, self.0)
+    }
+
+    #[inline(always)]
+    unsafe fn splat(w: f32) -> Self {
+        Oct(core::arch::x86_64::_mm256_set1_ps(w))
+    }
+
+    #[inline(always)]
+    fn mul_add(self, x: Oct, w: Oct) -> Self {
+        use core::arch::x86_64::{_mm256_add_ps, _mm256_mul_ps};
+        // SAFETY: `self` exists, so one of the constructors ran under
+        // their contract that the CPU runs AVX.
+        Oct(unsafe { _mm256_add_ps(self.0, _mm256_mul_ps(x.0, w.0)) })
+    }
+}
+
+/// Whether the CPU and OS run AVX (always `false` off x86-64). The
+/// standard library caches the answer, so this is one atomic load.
+#[inline(always)]
+fn has_avx() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The instance of the output-stationary conv kernel that
+/// [`Synapse::accumulate_batch`] runs at lockstep widths 8 and 16 on
+/// this CPU: `"avx"` where the CPU runs AVX, else `"sse"` on x86-64 and
+/// `"portable"` on other targets. Width 4 always runs the SSE (or
+/// portable) instance. The choice is made at run time, so a binary's
+/// compile-time target features do not show it; measurements of the
+/// kernel should record it.
+pub fn conv_instance() -> &'static str {
+    if has_avx() {
+        "avx"
+    } else if cfg!(target_arch = "x86_64") {
+        "sse"
+    } else {
+        "portable"
     }
 }
 
@@ -573,7 +664,11 @@ impl Synapse {
     /// - conv stages at widths 4, 8 and 16 run the output-stationary
     ///   kernel: a block of output channels' PSP lanes stays in
     ///   registers while every tap `(ci, ky, kx)` is added in ascending
-    ///   order, and no input pixel is skipped;
+    ///   order, and no input pixel is skipped. Width 4 runs its SSE
+    ///   instance; widths 8 and 16 run its AVX instance when the CPU has
+    ///   AVX (checked on every call; [`conv_instance`] reports the
+    ///   outcome) and the SSE instance otherwise. Both give the same
+    ///   bits;
     /// - conv stages at width 1 (the scalar path, which the equivalence
     ///   suites use as their reference), width 2 and every other width
     ///   run the input-driven scatter, which skips all-zero pixels.
@@ -651,9 +746,14 @@ impl Synapse {
                 };
                 match batch {
                     2 => conv_scatter::<Fixed<2>>(batch, input, psp, &plan),
-                    4 => conv_gather::<1, 8>(input, psp, &plan),
-                    8 => conv_gather::<2, 4>(input, psp, &plan),
-                    16 => conv_gather::<4, 2>(input, psp, &plan),
+                    4 => conv_gather_sse::<1, 8>(input, psp, &plan),
+                    // SAFETY (both AVX arms): the guard saw AVX.
+                    #[cfg(target_arch = "x86_64")]
+                    8 if has_avx() => unsafe { conv_gather_avx::<1, 8>(input, psp, &plan) },
+                    8 => conv_gather_sse::<2, 4>(input, psp, &plan),
+                    #[cfg(target_arch = "x86_64")]
+                    16 if has_avx() => unsafe { conv_gather_avx::<2, 4>(input, psp, &plan) },
+                    16 => conv_gather_sse::<4, 2>(input, psp, &plan),
                     _ => conv_scatter::<Dynamic>(batch, input, psp, &plan),
                 }
             }
@@ -1195,11 +1295,18 @@ fn gather_tap_range(
     (first, end.max(first), start + first - pad)
 }
 
-/// The output-stationary conv kernel for lockstep widths `4·Q` = 4, 8
-/// and 16. For each block of `CB` output channels (8, 4 or 2, so the
-/// `CB·Q = 8` accumulators and the input quads fill the 16 SSE
-/// registers) and each output pixel, it loads the pixel's PSP lane
-/// blocks into registers once, adds `lanes × w` over the taps
+/// The output-stationary conv kernel for lockstep widths 4, 8 and 16,
+/// written once over the lane register `R` and built as two instances:
+/// SSE ([`Quad`], [`conv_gather_sse`]) at every width, and AVX ([`Oct`],
+/// [`conv_gather_avx`]) at widths 8 and 16, which
+/// [`Synapse::accumulate_batch`] runs when the CPU has AVX. Each lane
+/// block is `Q` registers: 4 lanes are 1 SSE register, 8 lanes 2 SSE
+/// or 1 AVX, 16 lanes 4 SSE or 2 AVX.
+///
+/// For each block of `CB` output channels (8, 4 or 2, so the `CB·Q = 8`
+/// accumulators, the `Q` input registers and the weight fill the 16
+/// SSE or AVX registers) and each output pixel, it loads the pixel's
+/// PSP lane blocks into registers once, adds `lanes × w` over the taps
 /// `(ci, ky, kx)` in ascending order — each input lane block loaded
 /// once per tap and fed to the whole channel block — and stores the
 /// block once. Output channels past the last full block run one at a
@@ -1207,23 +1314,28 @@ fn gather_tap_range(
 ///
 /// Ascending `(ci, ky, kx)` is ascending input pixel, so every output's
 /// terms arrive in [`conv_scatter`]'s order, each rounded by a separate
-/// multiply and add. Unlike the scatter, no pixel is skipped for having
-/// all lanes zero: a dead pixel adds exact `±0.0` terms, which change
-/// no accumulator that is not `−0.0` (the condition under which this
-/// matches the scalar engine is spelled out on
-/// [`Synapse::accumulate_batch`]). A zero test per pixel cost more
-/// than the terms it saves at these widths.
+/// multiply and add, in both instances. Unlike the scatter, no pixel is
+/// skipped for having all lanes zero: a dead pixel adds exact `±0.0`
+/// terms, which change no accumulator that is not `−0.0` (the condition
+/// under which this matches the scalar engine is spelled out on
+/// [`Synapse::accumulate_batch`]). A zero test per pixel cost more than
+/// the terms it saves at these widths.
 ///
 /// # Panics
 ///
 /// When `input`, `psp` or the weights are shorter than the plan's
 /// shapes say. The `unsafe` indexing below rests on these checks.
-fn conv_gather<const Q: usize, const CB: usize>(
+///
+/// # Safety
+///
+/// The CPU must run `R`'s instructions.
+#[inline(always)]
+unsafe fn conv_gather<R: LaneReg, const Q: usize, const CB: usize>(
     input: &[f32],
     psp: &mut [f32],
     plan: &ScatterPlan<'_>,
 ) {
-    let lanes = 4 * Q;
+    let lanes = R::LANES * Q;
     let (kh, kw) = (plan.geom.kernel_h, plan.geom.kernel_w);
     let fits = |dims: [usize; 4], len: usize| {
         dims.iter()
@@ -1243,18 +1355,57 @@ fn conv_gather<const Q: usize, const CB: usize>(
         "conv weights shorter than their shape"
     );
     // With no output channel the asserts leave `c_in·kh·kw` and
-    // `oh·ow·4Q` unchecked, and there is nothing to do.
+    // `oh·ow·lanes` unchecked, and there is nothing to do.
     if plan.c_out == 0 {
         return;
     }
     let full = plan.c_out - plan.c_out % CB;
     // SAFETY: the asserts above bound all three buffers by the plan's
-    // shapes without overflow, and both channel ranges lie in
-    // `0..c_out` with lengths divisible by their block sizes.
+    // shapes without overflow, both channel ranges lie in `0..c_out`
+    // with lengths divisible by their block sizes, and the caller
+    // vouches for `R`.
     unsafe {
-        gather_channels::<Q, CB>(input, psp, plan, 0..full);
-        gather_channels::<Q, 1>(input, psp, plan, full..plan.c_out);
+        gather_channels::<R, Q, CB>(input, psp, plan, 0..full);
+        gather_channels::<R, Q, 1>(input, psp, plan, full..plan.c_out);
     }
+}
+
+/// [`conv_gather`]'s SSE instance (the portable one off x86-64) at
+/// `4·Q` lanes. Kept out of line like [`conv_scatter`], so each width's
+/// kernel is its own function and the other arms of
+/// [`Synapse::accumulate_batch`] compile as they would without it.
+#[inline(never)]
+fn conv_gather_sse<const Q: usize, const CB: usize>(
+    input: &[f32],
+    psp: &mut [f32],
+    plan: &ScatterPlan<'_>,
+) {
+    // SAFETY: every x86-64 CPU runs SSE, and the portable `Quad` runs
+    // no special instructions.
+    unsafe { conv_gather::<Quad, Q, CB>(input, psp, plan) }
+}
+
+/// [`conv_gather`]'s AVX instance at `8·Q` lanes: the same loop nest,
+/// compiled with AVX enabled so that every [`Oct`] operation inlines to
+/// one 256-bit instruction. No FMA: the multiply and the add round
+/// separately, as in the SSE instance and the scalar engine.
+///
+/// # Safety
+///
+/// The CPU must run AVX ([`has_avx`]). The buffers need no promise
+/// beyond their types: [`conv_gather`]'s asserts bound them by the
+/// plan's shapes and panic when they are short, as in the SSE
+/// instance.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline(never)]
+unsafe fn conv_gather_avx<const Q: usize, const CB: usize>(
+    input: &[f32],
+    psp: &mut [f32],
+    plan: &ScatterPlan<'_>,
+) {
+    // SAFETY: the caller vouches that the CPU runs AVX.
+    unsafe { conv_gather::<Oct, Q, CB>(input, psp, plan) }
 }
 
 /// [`conv_gather`]'s loop nest over the output channels `channels`, in
@@ -1262,17 +1413,18 @@ fn conv_gather<const Q: usize, const CB: usize>(
 ///
 /// # Safety
 ///
-/// `input`, `psp` and `plan.w` must hold at least `c_in·ih·iw·4Q`,
-/// `c_out·oh·ow·4Q` and `c_out·c_in·kh·kw` floats, and `channels` must
+/// The CPU must run `R`'s instructions; `input`, `psp` and `plan.w`
+/// must hold at least `c_in·ih·iw·lanes`, `c_out·oh·ow·lanes` and
+/// `c_out·c_in·kh·kw` floats (`lanes = R::LANES·Q`); and `channels` must
 /// lie inside `0..c_out` with a length divisible by `CB`.
 #[inline(always)]
-unsafe fn gather_channels<const Q: usize, const CB: usize>(
+unsafe fn gather_channels<R: LaneReg, const Q: usize, const CB: usize>(
     input: &[f32],
     psp: &mut [f32],
     plan: &ScatterPlan<'_>,
     channels: std::ops::Range<usize>,
 ) {
-    let lanes = 4 * Q;
+    let (rl, lanes) = (R::LANES, R::LANES * Q);
     let (kh, kw) = (plan.geom.kernel_h, plan.geom.kernel_w);
     let (stride_h, stride_w) = (plan.geom.stride_h.max(1), plan.geom.stride_w.max(1));
     let (pad_h, pad_w) = (plan.geom.pad_h, plan.geom.pad_w);
@@ -1294,14 +1446,14 @@ unsafe fn gather_channels<const Q: usize, const CB: usize>(
                     continue;
                 }
                 // SAFETY (every pointer below): `co0 + c < c_out`,
-                // `oy < oh` and `ox < ow` keep the PSP quads inside
-                // `c_out·oh·ow·4Q`; the tap ranges keep `iy < ih` and
-                // `ix < iw`, so the input quads stay inside
-                // `c_in·ih·iw·4Q`; and `ky < kh`, `kx < kw` keep the
+                // `oy < oh` and `ox < ow` keep the PSP registers inside
+                // `c_out·oh·ow·lanes`; the tap ranges keep `iy < ih` and
+                // `ix < iw`, so the input registers stay inside
+                // `c_in·ih·iw·lanes`; and `ky < kh`, `kx < kw` keep the
                 // weights inside `c_out·c_in·kh·kw`.
                 let p_px = p_ptr.add(((co0 * oh + oy) * ow + ox) * lanes);
-                let mut acc: [[Quad; Q]; CB] = std::array::from_fn(|c| {
-                    std::array::from_fn(|q| Quad::load(p_px.add(c * plane + 4 * q)))
+                let mut acc: [[R; Q]; CB] = std::array::from_fn(|c| {
+                    std::array::from_fn(|q| R::load(p_px.add(c * plane + rl * q)))
                 });
                 for ci in 0..c_in {
                     for ky in ky0..ky1 {
@@ -1310,9 +1462,9 @@ unsafe fn gather_channels<const Q: usize, const CB: usize>(
                         let w_row = w_blk.add((ci * kh + ky) * kw);
                         for kx in kx0..kx1 {
                             let x_px = x_row.add((kx - kx0) * lanes);
-                            let x: [Quad; Q] = std::array::from_fn(|q| Quad::load(x_px.add(4 * q)));
+                            let x: [R; Q] = std::array::from_fn(|q| R::load(x_px.add(rl * q)));
                             for (c, acc) in acc.iter_mut().enumerate() {
-                                let wv = Quad::splat(*w_row.add(c * taps + kx));
+                                let wv = R::splat(*w_row.add(c * taps + kx));
                                 for (a, &xq) in acc.iter_mut().zip(&x) {
                                     *a = a.mul_add(xq, wv);
                                 }
@@ -1322,7 +1474,7 @@ unsafe fn gather_channels<const Q: usize, const CB: usize>(
                 }
                 for (c, acc) in acc.iter().enumerate() {
                     for (q, a) in acc.iter().enumerate() {
-                        a.store(p_px.add(c * plane + 4 * q));
+                        a.store(p_px.add(c * plane + rl * q));
                     }
                 }
             }
@@ -1690,10 +1842,26 @@ mod tests {
     /// for bit, a scalar pass from the same PSP.
     fn batch_matches_scalar_from(syn: &Synapse, inputs: &[Vec<f32>], start: &[Vec<f32>]) {
         let batch = inputs.len();
+        lanes_match_scalar(syn, inputs, start, "accumulate_batch", |x, p| {
+            syn.accumulate_batch(x, p, batch).unwrap()
+        });
+    }
+
+    /// Lane `b` of the lockstep pass `run(input, psp)` over the SoA
+    /// buffers, from PSP `start[b]`, must equal, bit for bit, a scalar
+    /// pass from the same PSP.
+    fn lanes_match_scalar(
+        syn: &Synapse,
+        inputs: &[Vec<f32>],
+        start: &[Vec<f32>],
+        kernel: &str,
+        run: impl FnOnce(&[f32], &mut [f32]),
+    ) {
+        let batch = inputs.len();
         let out = syn.output_len();
         let soa = to_soa(inputs);
         let mut psp_batch = to_soa(start);
-        syn.accumulate_batch(&soa, &mut psp_batch, batch).unwrap();
+        run(&soa, &mut psp_batch);
         for (b, input) in inputs.iter().enumerate() {
             let mut psp = start[b].clone();
             syn.accumulate(input, &mut psp).unwrap();
@@ -1701,7 +1869,7 @@ mod tests {
                 assert_eq!(
                     psp[j].to_bits(),
                     psp_batch[j * batch + b].to_bits(),
-                    "width {batch} lane {b} neuron {j} diverged: {} vs {}",
+                    "{kernel} width {batch} lane {b} neuron {j} diverged: {} vs {}",
                     psp[j],
                     psp_batch[j * batch + b]
                 );
@@ -1723,9 +1891,10 @@ mod tests {
         batch_matches_scalar(&syn, &inputs);
     }
 
-    #[test]
-    fn conv_batch_lanes_match_scalar_bitwise() {
-        let mut rng = StdRng::seed_from_u64(13);
+    /// The conv stages the lockstep conv tests sweep. `c_out` 5 leaves
+    /// a tail after every channel block (8, 4, 2), 11 is one 8-channel
+    /// block and a 3-channel tail, and 8 fills its blocks exactly.
+    fn conv_cases(rng: &mut StdRng) -> Vec<Synapse> {
         // Asymmetric kernel, stride and pad (as in
         // `conv_restructured_matches_dense_conv2d_odd_geometry`).
         let odd = Conv2dGeometry {
@@ -1736,48 +1905,116 @@ mod tests {
             pad_h: 1,
             pad_w: 0,
         };
-        // `c_out` 5 leaves a tail after every channel block (8, 4, 2).
-        for (geom, in_shape, c_out) in [
+        [
             (Conv2dGeometry::square(3, 1, 1), Chw::new(2, 5, 5), 3),
             (Conv2dGeometry::square(2, 2, 0), Chw::new(1, 6, 6), 2),
             (Conv2dGeometry::square(3, 2, 1), Chw::new(1, 5, 5), 2),
             (odd, Chw::new(2, 7, 5), 5),
             (Conv2dGeometry::square(3, 1, 2), Chw::new(3, 4, 6), 5),
-        ] {
+            (Conv2dGeometry::square(3, 1, 1), Chw::new(2, 4, 5), 11),
+            (odd, Chw::new(3, 6, 4), 8),
+        ]
+        .into_iter()
+        .map(|(geom, in_shape, c_out)| {
             let (oh, ow) = geom.output_hw(in_shape.h, in_shape.w).unwrap();
             let out_shape = Chw::new(c_out, oh, ow);
             let weight = uniform(
-                &mut rng,
+                rng,
                 &[out_shape.c, in_shape.c, geom.kernel_h, geom.kernel_w],
                 -1.0,
                 1.0,
             );
-            let syn = Synapse::Conv {
+            Synapse::Conv {
                 weight,
                 geom,
                 in_shape,
                 out_shape,
-            };
+            }
+        })
+        .collect()
+    }
+
+    /// `batch` images for `syn` and their starting PSPs: lane 1 is
+    /// silent throughout and the rest are ~40% zero; lane 0 starts from
+    /// +0.0, the others from nonzero PSPs.
+    fn lockstep_case(
+        rng: &mut StdRng,
+        syn: &Synapse,
+        batch: usize,
+    ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+        let inputs = (0..batch)
+            .map(|b| {
+                uniform(rng, &[syn.input_len()], 0.0, 1.0)
+                    .as_slice()
+                    .iter()
+                    .map(|&v| if b == 1 || v < 0.4 { 0.0 } else { v })
+                    .collect()
+            })
+            .collect();
+        let start = (0..batch)
+            .map(|b| {
+                let p = uniform(rng, &[syn.output_len()], -1.0, 1.0);
+                let p = p.as_slice().iter();
+                p.map(|&v| if b == 0 { 0.0 } else { v }).collect()
+            })
+            .collect();
+        (inputs, start)
+    }
+
+    #[test]
+    fn conv_batch_lanes_match_scalar_bitwise() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for syn in conv_cases(&mut rng) {
             for batch in [2usize, 3, 4, 8, 16] {
-                // Lane 1 is silent throughout; the rest are ~40% zero.
-                let inputs: Vec<Vec<f32>> = (0..batch)
-                    .map(|b| {
-                        uniform(&mut rng, &[in_shape.volume()], 0.0, 1.0)
-                            .as_slice()
-                            .iter()
-                            .map(|&v| if b == 1 || v < 0.4 { 0.0 } else { v })
-                            .collect()
-                    })
-                    .collect();
-                // Lane 0 starts from +0.0, the others from nonzero PSPs.
-                let start: Vec<Vec<f32>> = (0..batch)
-                    .map(|b| {
-                        let p = uniform(&mut rng, &[out_shape.volume()], -1.0, 1.0);
-                        let p = p.as_slice().iter();
-                        p.map(|&v| if b == 0 { 0.0 } else { v }).collect()
-                    })
-                    .collect();
+                let (inputs, start) = lockstep_case(&mut rng, &syn, batch);
                 batch_matches_scalar_from(&syn, &inputs, &start);
+            }
+        }
+    }
+
+    /// `accumulate_batch` runs one conv instance per width and CPU, so
+    /// this calls each instance at widths 8 and 16 directly: SSE always,
+    /// AVX where the CPU runs it.
+    #[test]
+    fn conv_gather_instances_match_scalar_bitwise() {
+        type Instance = unsafe fn(&[f32], &mut [f32], &ScatterPlan<'_>);
+        let mut instances: Vec<(&str, usize, Instance)> = vec![
+            ("sse", 8, conv_gather_sse::<2, 4>),
+            ("sse", 16, conv_gather_sse::<4, 2>),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if has_avx() {
+            instances.push(("avx", 8, conv_gather_avx::<1, 8>));
+            instances.push(("avx", 16, conv_gather_avx::<2, 4>));
+        }
+        let mut rng = StdRng::seed_from_u64(19);
+        for syn in conv_cases(&mut rng) {
+            let Synapse::Conv {
+                weight,
+                geom,
+                in_shape,
+                out_shape,
+            } = &syn
+            else {
+                unreachable!("conv_cases builds conv stages")
+            };
+            let plan = ScatterPlan {
+                w: weight.as_slice(),
+                c_in: in_shape.c,
+                c_out: out_shape.c,
+                geom,
+                ih: in_shape.h,
+                iw: in_shape.w,
+                oh: out_shape.h,
+                ow: out_shape.w,
+            };
+            for &(name, batch, instance) in &instances {
+                let (inputs, start) = lockstep_case(&mut rng, &syn, batch);
+                // SAFETY: the AVX instances are listed only where the
+                // CPU runs AVX.
+                lanes_match_scalar(&syn, &inputs, &start, name, |x, p| unsafe {
+                    instance(x, p, &plan)
+                });
             }
         }
     }
