@@ -6,38 +6,26 @@
 //!
 //! ```text
 //! cargo run --release -p bsnn-bench --bin exp_bench_record -- \
-//!     [--out DIR] [--quick] [--min-mlp-b16-speedup X] [--require-packed] \
-//!     [--require-quant-probe]
+//!     [--out DIR] [--quick] [--min-mlp-b16-speedup X]
 //! ```
 //!
 //! `--quick` shrinks training and the serve waves for CI smoke runs;
 //! `--min-mlp-b16-speedup X` exits nonzero unless the MLP's batch-16
-//! auto-dispatch lane-steps/s reaches `X ×` its sequential baseline — a
-//! machine-independent floor guarding the density-dispatching engine's
-//! win (absolute lane-steps/s floors would be runner-dependent).
-//! `--require-packed` exits nonzero unless the packed bit-plane kernel
-//! is either auto-selected on at least one stage, or its forced-packed
-//! batch-16 throughput lands within the dispatch hysteresis (1.15×) of
-//! forced-dense on at least one workload — so the packed path can't
-//! silently rot. `--require-quant-probe` is the same guard for the int8
-//! path plus two extra pins: forced-quant batch-16 must land within 15%
-//! of the best forced row on at least one workload, at least one
-//! conv/pool stage must pick a non-dense strategy under auto dispatch
-//! (vgg_tiny), and the MLP's auto dispatch must reach 95% of its best
-//! forced row (the stage-0 miscalibration regression from BENCH v5).
+//! lane-steps/s reaches `X ×` its sequential baseline — a
+//! machine-independent floor guarding the lockstep engine's win
+//! (absolute lane-steps/s floors would be runner-dependent).
 //!
 //! Numbers are wall-clock measurements of this machine; the JSON
 //! records the workload shape alongside every figure so comparisons
 //! stay apples-to-apples.
 
-use bsnn_bench::{auto_dispatch, autotune_cached};
+use bsnn_bench::autotune_cached;
 use bsnn_core::autotune::AutotuneConfig;
-use bsnn_core::batch::{BatchedNetwork, BatchedStepwiseInference, DispatchMode, DispatchPolicy};
+use bsnn_core::batch::{BatchedNetwork, BatchedStepwiseInference};
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::convert::{convert, ConversionConfig};
 use bsnn_core::simulator::{
-    evaluate_dataset, evaluate_dataset_batched, evaluate_dataset_batched_with_dispatch, EvalConfig,
-    StepwiseInference,
+    evaluate_dataset, evaluate_dataset_batched, EvalConfig, StepwiseInference,
 };
 use bsnn_core::SpikingNetwork;
 use bsnn_data::{ImageDataset, SynthSpec};
@@ -98,15 +86,14 @@ fn seq_steps_per_sec(net: &SpikingNetwork, images: &[Vec<f32>], cfg: &EvalConfig
     (SIM_BATCH * SIM_STEPS) as f64 / secs
 }
 
-/// Lane-steps per second of one lockstep batch of `width` lanes under
-/// `dispatch`, plus the per-stage dispatch counters of the last rep and
-/// the profile (kernel wall time per stage) aggregated over all reps.
+/// Lane-steps per second of one lockstep batch of `width` lanes, plus
+/// the per-stage step counters of the last rep and the profile (kernel
+/// wall time per stage) aggregated over all reps.
 fn batched_steps_per_sec(
     net: &SpikingNetwork,
     images: &[Vec<f32>],
     cfg: &EvalConfig,
     width: usize,
-    dispatch: &DispatchPolicy,
 ) -> (
     f64,
     Vec<bsnn_core::batch::StageDispatchStats>,
@@ -114,7 +101,6 @@ fn batched_steps_per_sec(
 ) {
     let sink = Arc::new(bsnn_core::ProfileSink::new(net.layers().len() + 1));
     let mut engine = BatchedNetwork::new(net.clone(), width).expect("engine");
-    engine.set_dispatch(dispatch.clone());
     engine.set_profile_sink(Some(Arc::clone(&sink)));
     let refs: Vec<&[f32]> = images[..width].iter().map(|v| v.as_slice()).collect();
     let secs = best_secs(SIM_REPS, || {
@@ -131,27 +117,12 @@ fn batched_steps_per_sec(
     )
 }
 
-/// The floor-gate evidence one workload's core record produces besides
-/// its JSON string.
+/// One workload's core record: the JSON object string and the floor
+/// metric.
 struct CoreRecord {
     json: String,
-    /// Auto-dispatch batch-16 speedup vs sequential (the floor metric).
+    /// Batch-16 speedup vs sequential (the floor metric).
     b16_speedup: f64,
-    /// The packed kernel "held its ground": auto-selected on at least
-    /// one stage, or forced-packed within the dispatch hysteresis
-    /// (1.15×) of forced-dense.
-    packed_ok: bool,
-    /// Same guard for the int8 kernel: auto-selected, or forced-quant
-    /// within 15% of the best forced row.
-    quant_ok: bool,
-    /// At least one conv/pool stage picked a non-dense strategy
-    /// (packed or quant) under auto dispatch.
-    convpool_nondense: bool,
-    /// Auto dispatch reached 95% of the best forced row — the
-    /// miscalibration pin from BENCH v5 (MLP auto ran 6% behind
-    /// forced-dense because plane-build cost was invisible to the
-    /// per-stage microbench).
-    auto_ok: bool,
 }
 
 fn core_record(
@@ -161,60 +132,33 @@ fn core_record(
     scheme: CodingScheme,
 ) -> CoreRecord {
     let cfg = EvalConfig::new(scheme, SIM_STEPS);
-    let policy = autotune_cached(net, scheme, &AutotuneConfig::default());
-    let auto = auto_dispatch(&policy);
-    let dense = DispatchPolicy::forced(DispatchMode::ForceDense);
-    let packed = DispatchPolicy::forced(DispatchMode::ForcePacked);
-    let quant = DispatchPolicy::forced(DispatchMode::ForceQuantized);
     let seq = seq_steps_per_sec(net, images, &cfg);
-    let (b1, _, _) = batched_steps_per_sec(net, images, &cfg, 1, &auto);
-    let (b4, _, _) = batched_steps_per_sec(net, images, &cfg, 4, &auto);
-    // The batch-16 rows get compared against each other by the gate
-    // flags below, so interleave their measurements across rounds —
-    // container-level drift then hits every row alike instead of
-    // penalizing whichever row ran during a slow window.
-    let (mut b16, mut b16_dense, mut b16_packed, mut b16_quant) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut auto_evidence = None;
+    let (b1, _, _) = batched_steps_per_sec(net, images, &cfg, 1);
+    let (b4, _, _) = batched_steps_per_sec(net, images, &cfg, 4);
+    // The batch-16 row sets the floor, so take the best of three rounds
+    // to shed container-level drift.
+    let mut b16 = 0.0f64;
+    let mut evidence = None;
     for _ in 0..3 {
-        let (r, s, p) = batched_steps_per_sec(net, images, &cfg, 16, &auto);
+        let (r, s, p) = batched_steps_per_sec(net, images, &cfg, 16);
         if r > b16 {
             b16 = r;
-            auto_evidence = Some((s, p));
+            evidence = Some((s, p));
         }
-        b16_dense = b16_dense.max(batched_steps_per_sec(net, images, &cfg, 16, &dense).0);
-        b16_packed = b16_packed.max(batched_steps_per_sec(net, images, &cfg, 16, &packed).0);
-        b16_quant = b16_quant.max(batched_steps_per_sec(net, images, &cfg, 16, &quant).0);
     }
-    let (stats, profile) = auto_evidence.expect("at least one auto round");
+    let (stats, profile) = evidence.expect("at least one batch-16 round");
     let stages: Vec<String> = stats
         .iter()
         .enumerate()
         .map(|(k, st)| {
             format!(
                 concat!(
-                    "{{\"stage\": {}, \"packed_crossover\": {:.4}, ",
-                    "\"quant_crossover\": {:.4}, \"quant_eligible\": {}, ",
-                    "\"mean_density\": {:.3}, ",
-                    "\"dense_steps\": {}, \"packed_steps\": {}, ",
-                    "\"quant_steps\": {}, ",
-                    "\"cached_steps\": {}, \"kernel_ms\": {:.2}}}"
+                    "{{\"stage\": {}, \"mean_density\": {:.3}, ",
+                    "\"dense_steps\": {}, \"cached_steps\": {}, \"kernel_ms\": {:.2}}}"
                 ),
                 k,
-                policy
-                    .packed_thresholds
-                    .get(k)
-                    .copied()
-                    .unwrap_or(bsnn_core::batch::DEFAULT_PACKED_CROSSOVER),
-                policy
-                    .quant_thresholds
-                    .get(k)
-                    .copied()
-                    .unwrap_or(bsnn_core::batch::DEFAULT_QUANT_CROSSOVER),
-                policy.quant_eligible.get(k).copied().unwrap_or(false),
                 st.mean_density(),
                 st.dense_steps,
-                st.packed_steps,
-                st.quant_steps,
                 st.cached_steps,
                 profile
                     .stages
@@ -223,34 +167,15 @@ fn core_record(
             )
         })
         .collect();
-    let best_forced = b16_dense.max(b16_packed).max(b16_quant);
-    let packed_selected = stats.iter().any(|st| st.packed_steps > 0);
-    let packed_ok = packed_selected || b16_packed * 1.15 >= b16_dense;
-    let quant_selected = stats.iter().any(|st| st.quant_steps > 0);
-    let quant_ok = quant_selected || b16_quant * 1.15 >= best_forced;
-    // Stage k's synapse: hidden layers 0..n, then the output synapse.
-    let stage_synapse = |k: usize| {
-        net.layers()
-            .get(k)
-            .map(|l| l.synapse())
-            .unwrap_or_else(|| net.output_synapse())
-    };
-    let convpool_nondense = stats.iter().enumerate().any(|(k, st)| {
-        !matches!(stage_synapse(k), bsnn_core::synapse::Synapse::Dense { .. })
-            && (st.packed_steps > 0 || st.quant_steps > 0)
-    });
-    let auto_ok = b16 >= 0.95 * best_forced;
     let mut json = String::new();
     let _ = write!(
         json,
         concat!(
             "{{\"workload\": \"{}\", \"neurons\": {}, \"coding\": \"{}\", ",
             "\"steps\": {}, \"lane_steps_per_sec\": {{\"sequential\": {:.0}, ",
-            "\"batch1\": {:.0}, \"batch4\": {:.0}, \"batch16\": {:.0}, ",
-            "\"batch16_forced_dense\": {:.0}, \"batch16_forced_packed\": {:.0}, ",
-            "\"batch16_forced_quant\": {:.0}}}, ",
+            "\"batch1\": {:.0}, \"batch4\": {:.0}, \"batch16\": {:.0}}}, ",
             "\"speedup_batch16_vs_sequential\": {:.2}, ",
-            "\"dispatch_batch16\": [{}]}}"
+            "\"stage_profile_batch16\": [{}]}}"
         ),
         name,
         net.num_neurons(),
@@ -260,19 +185,12 @@ fn core_record(
         b1,
         b4,
         b16,
-        b16_dense,
-        b16_packed,
-        b16_quant,
         b16 / seq,
         stages.join(", "),
     );
     CoreRecord {
         json,
         b16_speedup: b16 / seq,
-        packed_ok,
-        quant_ok,
-        convpool_nondense,
-        auto_ok,
     }
 }
 
@@ -296,18 +214,10 @@ fn eval_record(
     let par = best_secs(3, || {
         std::hint::black_box(evaluate_dataset_batched(net, test, &cfg, threads, 1).expect("eval"));
     });
-    let dispatch = auto_dispatch(&policy);
     let batched = best_secs(3, || {
         std::hint::black_box(
-            evaluate_dataset_batched_with_dispatch(
-                net,
-                test,
-                &cfg,
-                threads,
-                policy.preferred_batch,
-                &dispatch,
-            )
-            .expect("eval"),
+            evaluate_dataset_batched(net, test, &cfg, threads, policy.preferred_batch)
+                .expect("eval"),
         );
     });
     let ips = |secs: f64| n_images as f64 / secs;
@@ -380,7 +290,7 @@ fn serve_record(
     let metrics = runtime.metrics();
     runtime.shutdown();
     // The wave ran with engine profiling on: record where the stepping
-    // time went and which kernel each stage picked.
+    // time went and how often each stage replayed the PSP cache.
     let profile = registry.get("digits").expect("entry").profile().snapshot();
     let stage_json: Vec<String> = profile
         .stages
@@ -389,15 +299,12 @@ fn serve_record(
         .map(|(k, st)| {
             format!(
                 concat!(
-                    "{{\"stage\": {}, \"dense_steps\": {}, ",
-                    "\"packed_steps\": {}, \"quant_steps\": {}, \"cached_steps\": {}, ",
+                    "{{\"stage\": {}, \"dense_steps\": {}, \"cached_steps\": {}, ",
                     "\"mean_density\": {:.3}, ",
                     "\"kernel_ms\": {:.2}}}"
                 ),
                 k,
                 st.dense_steps,
-                st.packed_steps,
-                st.quant_steps,
                 st.cached_steps,
                 st.mean_density,
                 st.kernel_nanos as f64 / 1e6,
@@ -441,8 +348,6 @@ fn main() {
     let mut out_dir = ".".to_string();
     let mut quick = false;
     let mut min_mlp_b16_speedup: Option<f64> = None;
-    let mut require_packed = false;
-    let mut require_quant_probe = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -456,12 +361,10 @@ fn main() {
                         .expect("floor must be a number"),
                 )
             }
-            "--require-packed" => require_packed = true,
-            "--require-quant-probe" => require_quant_probe = true,
             other => {
                 eprintln!(
                     "unknown flag `{other}` (usage: exp_bench_record [--out DIR] [--quick] \
-                     [--min-mlp-b16-speedup X] [--require-packed] [--require-quant-probe])"
+                     [--min-mlp-b16-speedup X])"
                 );
                 std::process::exit(2);
             }
@@ -488,7 +391,7 @@ fn main() {
     let rustc_version = env!("BSNN_RUSTC_VERSION");
     let conv_instance = bsnn_core::synapse::conv_instance();
     let core = format!(
-        "{{\n  \"schema\": \"bsnn-bench-core-v7\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"conv_instance\": \"{conv_instance}\",\n  \"note\": \"lane-steps/s = images × time-steps simulated per wall-clock second; sequential = {SIM_BATCH} back-to-back single-image runs; batch* rows run the density-dispatching engine at the autotuned crossovers, batch16_forced_dense pins the pre-dispatch dense kernels, batch16_forced_packed pins the bit-plane mask kernels (u64 activity masks + power-of-two exponent planes, register-blocked replay), and batch16_forced_quant pins the int8 fixed-point kernels (symmetric per-column scales, i32 PSP accumulation, burst magnitudes folded in as shifts); dispatch_batch16 records each stage's measured density and strategy mix (dense/packed/quant/cached) plus kernel_ms of stage wall time summed over all {SIM_REPS} measurement reps (ProfileSink); dataset_eval = full evaluate_dataset passes (batched width from the autotuner)\",\n  \"workloads\": [\n    {},\n    {}\n  ],\n  \"dataset_eval\": [\n    {},\n    {}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"bsnn-bench-core-v8\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"conv_instance\": \"{conv_instance}\",\n  \"note\": \"lane-steps/s = images × time-steps simulated per wall-clock second; sequential = {SIM_BATCH} back-to-back single-image runs of the scalar engine; batch* rows run the lockstep engine (dense kernels plus the periodic-input PSP cache) at that width; stage_profile_batch16 records each stage's measured input density, its dense-kernel and PSP-cache step counts, and kernel_ms of stage wall time summed over all {SIM_REPS} measurement reps (ProfileSink); dataset_eval = full evaluate_dataset passes (batched width from the autotuner)\",\n  \"workloads\": [\n    {},\n    {}\n  ],\n  \"dataset_eval\": [\n    {},\n    {}\n  ]\n}}\n",
         mlp_rec.json,
         cnn_rec.json,
         eval_record("mlp_144_32_10", &mlp, &mlp_test, mlp_scheme),
@@ -512,57 +415,10 @@ fn main() {
         }
         eprintln!("perf floor ok: mlp batch-16 {mlp_b16_speedup:.2}x >= {floor:.2}x");
     }
-    if require_packed {
-        if !(mlp_rec.packed_ok || cnn_rec.packed_ok) {
-            println!("{core}");
-            eprintln!(
-                "FAIL: packed kernel neither auto-selected on any stage nor within the \
-                 1.15x hysteresis of forced-dense on any workload"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "packed kernel ok: selected or within hysteresis (mlp {}, vgg_tiny {})",
-            mlp_rec.packed_ok, cnn_rec.packed_ok
-        );
-    }
-    if require_quant_probe {
-        let mut fail = false;
-        if !(mlp_rec.quant_ok || cnn_rec.quant_ok) {
-            eprintln!(
-                "FAIL: int8 kernel neither auto-selected on any stage nor within 15% of \
-                 the best forced row on any workload"
-            );
-            fail = true;
-        }
-        if !cnn_rec.convpool_nondense {
-            eprintln!(
-                "FAIL: no conv/pool stage picked a non-dense strategy under auto dispatch \
-                 on vgg_tiny (mask-plane staging coverage)"
-            );
-            fail = true;
-        }
-        if !mlp_rec.auto_ok {
-            eprintln!(
-                "FAIL: mlp auto dispatch below 95% of its best forced row (the BENCH v5 \
-                 stage-0 miscalibration regression)"
-            );
-            fail = true;
-        }
-        if fail {
-            println!("{core}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "quant probe ok: int8 competitive (mlp {}, vgg_tiny {}), conv/pool non-dense \
-             coverage {}, mlp auto within 5% of best forced {}",
-            mlp_rec.quant_ok, cnn_rec.quant_ok, cnn_rec.convpool_nondense, mlp_rec.auto_ok
-        );
-    }
 
     eprintln!("measuring serving throughput...");
     let serve = format!(
-        "{{\n  \"schema\": \"bsnn-bench-serve-v7\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"conv_instance\": \"{conv_instance}\",\n  \"note\": \"one closed-loop wave per config (cold worker engines included), confidence-margin early exit (horizon 96); latency percentiles are within-bucket interpolated log-bucket ranks; batch_policy=autotuned splits popped micro-batches to the model's measured width and installs its packed and quant crossovers (int8 only where the accuracy gate passed); ragged lockstep chunks are padded to fixed widths with dead lanes; stage_profile comes from the engine ProfileSink (kernel_ms = stage wall time over the whole wave, packed_steps = bit-plane kernel selections, quant_steps = int8 kernel selections)\",\n  \"configs\": [\n    {},\n    {},\n    {},\n    {},\n    {},\n    {}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"bsnn-bench-serve-v8\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"conv_instance\": \"{conv_instance}\",\n  \"note\": \"one closed-loop wave per config (cold worker engines included), confidence-margin early exit (horizon 96); latency percentiles are within-bucket interpolated log-bucket ranks; batch_policy=autotuned splits popped micro-batches to the model's measured width; ragged lockstep chunks are padded to fixed widths with dead lanes; stage_profile comes from the engine ProfileSink (kernel_ms = stage wall time over the whole wave, cached_steps = PSP-cache replays)\",\n  \"configs\": [\n    {},\n    {},\n    {},\n    {},\n    {},\n    {}\n  ]\n}}\n",
         serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 1, mlp_wave, false),
         serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 8, mlp_wave, false),
         serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 8, mlp_wave, true),

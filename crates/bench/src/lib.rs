@@ -21,8 +21,7 @@
 //! minute on a laptop CPU.
 
 use bsnn_core::autotune::{autotune_batch, AutotuneConfig, BatchPolicy, BatchProbe};
-use bsnn_core::batch::{DispatchMode, DispatchPolicy};
-use bsnn_core::simulator::{evaluate_dataset_batched_with_dispatch, EvalConfig, EvalResult};
+use bsnn_core::simulator::{evaluate_dataset_batched, EvalConfig, EvalResult};
 use bsnn_core::SpikingNetwork;
 use bsnn_data::{ImageDataset, SynthSpec, SyntheticTask};
 use bsnn_dnn::models;
@@ -39,8 +38,8 @@ pub fn eval_threads() -> usize {
 }
 
 /// Evaluates `net` over the dataset with the `threads × batch`
-/// composition, at the lockstep width (and kernel crossovers) the
-/// model's own autotuning probe picks — the default evaluation path of
+/// composition, at the lockstep width the model's own autotuning probe
+/// picks — the default evaluation path of
 /// every `exp_*` binary. Returns the result together with the measured
 /// [`BatchPolicy`] so reports can cite the width the numbers were
 /// produced at (bit-identical to the sequential path at any width, so
@@ -62,28 +61,9 @@ pub fn evaluate_autotuned(
         ..AutotuneConfig::default()
     };
     let policy = autotune_cached(net, cfg.scheme, &probe_cfg);
-    let eval = evaluate_dataset_batched_with_dispatch(
-        net,
-        dataset,
-        cfg,
-        eval_threads(),
-        policy.preferred_batch,
-        &auto_dispatch(&policy),
-    )
-    .expect("dataset evaluation");
+    let eval = evaluate_dataset_batched(net, dataset, cfg, eval_threads(), policy.preferred_batch)
+        .expect("dataset evaluation");
     (eval, policy)
-}
-
-/// The `Auto` dispatch policy a measured [`BatchPolicy`] calls for:
-/// its packed and int8 crossovers and the int8 accuracy-gate verdicts.
-pub fn auto_dispatch(policy: &BatchPolicy) -> DispatchPolicy {
-    DispatchPolicy {
-        mode: DispatchMode::Auto,
-        packed_thresholds: policy.packed_thresholds.clone(),
-        quant_thresholds: policy.quant_thresholds.clone(),
-        quant_eligible: policy.quant_eligible.clone(),
-        ..DispatchPolicy::default()
-    }
 }
 
 /// 64-bit FNV-1a over `bytes`, continuing from `h` (seed the first call
@@ -149,25 +129,17 @@ fn autotune_cache_path(
 ) -> Option<PathBuf> {
     let mut model_bytes = Vec::new();
     bsnn_core::snapshot::save_network(net, &mut model_bytes).ok()?;
-    // "at6" salts the key with the cache-entry format generation: bump
+    // "at7" salts the key with the cache-entry format generation: bump
     // it when the probe or the kernels change meaningfully, so stale
     // measurements from older binaries are not reused (at3 = int8 quant
     // kernels + quant_thresholds/quant_eligible lines + accuracy gate;
     // at4 = output-stationary conv kernel at widths 4, 8 and 16;
     // at5 = sparse kernel removed, no `thresholds` line;
-    // at6 = AVX conv instance at widths 8 and 16, salt names the instance).
+    // at6 = AVX conv instance at widths 8 and 16, salt names the instance;
+    // at7 = packed and int8 kernels removed, no crossover lines).
     let tag = format!(
-        "at6|{salt}|{scheme}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
-        cfg.widths,
-        cfg.steps,
-        cfg.reps,
-        cfg.min_gain,
-        cfg.seed,
-        cfg.phase_period,
-        cfg.calibrate_density,
-        cfg.density_reps,
-        cfg.quant_delta,
-        cfg.quant_gate_images
+        "at7|{salt}|{scheme}|{:?}|{}|{}|{}|{}|{}",
+        cfg.widths, cfg.steps, cfg.reps, cfg.min_gain, cfg.seed, cfg.phase_period
     );
     let key = fnv1a64(tag.as_bytes(), fnv1a64(&model_bytes, FNV_OFFSET));
     Some(cache_dir().join(format!("autotune-{key:016x}.txt")))
@@ -187,8 +159,7 @@ fn autotune_cached_salted(
     if let Some(path) = path {
         // Write-then-rename so a concurrent exp_* binary (or a kill
         // mid-write) can never observe a truncated entry — a prefix
-        // like "packed_thresholds 0.28,0." still parses, with wrong
-        // values.
+        // like "probe 16 4125." still parses, with wrong values.
         let tmp = path.with_extension(format!("tmp{}", std::process::id()));
         if fs::write(&tmp, render_autotune_cache(&policy)).is_ok() {
             let _ = fs::rename(&tmp, &path);
@@ -199,24 +170,6 @@ fn autotune_cached_salted(
 
 fn render_autotune_cache(policy: &BatchPolicy) -> String {
     let mut s = format!("preferred_batch {}\n", policy.preferred_batch);
-    let packed: Vec<String> = policy
-        .packed_thresholds
-        .iter()
-        .map(|t| format!("{t}"))
-        .collect();
-    s.push_str(&format!("packed_thresholds {}\n", packed.join(",")));
-    let quant: Vec<String> = policy
-        .quant_thresholds
-        .iter()
-        .map(|t| format!("{t}"))
-        .collect();
-    s.push_str(&format!("quant_thresholds {}\n", quant.join(",")));
-    let eligible: Vec<String> = policy
-        .quant_eligible
-        .iter()
-        .map(|&e| if e { "1".into() } else { "0".to_string() })
-        .collect();
-    s.push_str(&format!("quant_eligible {}\n", eligible.join(",")));
     for p in &policy.probes {
         s.push_str(&format!("probe {} {}\n", p.width, p.lane_steps_per_sec));
     }
@@ -226,39 +179,11 @@ fn render_autotune_cache(policy: &BatchPolicy) -> String {
 fn read_autotune_cache(path: &std::path::Path) -> Option<BatchPolicy> {
     let text = fs::read_to_string(path).ok()?;
     let mut preferred_batch = None;
-    let mut packed_thresholds = Vec::new();
-    let mut quant_thresholds = Vec::new();
-    let mut quant_eligible = Vec::new();
     let mut probes = Vec::new();
     for line in text.lines() {
         let mut parts = line.split_whitespace();
         match parts.next()? {
             "preferred_batch" => preferred_batch = Some(parts.next()?.parse().ok()?),
-            "packed_thresholds" => {
-                if let Some(list) = parts.next() {
-                    for v in list.split(',') {
-                        packed_thresholds.push(v.parse().ok()?);
-                    }
-                }
-            }
-            "quant_thresholds" => {
-                if let Some(list) = parts.next() {
-                    for v in list.split(',') {
-                        quant_thresholds.push(v.parse().ok()?);
-                    }
-                }
-            }
-            "quant_eligible" => {
-                if let Some(list) = parts.next() {
-                    for v in list.split(',') {
-                        quant_eligible.push(match v {
-                            "0" => false,
-                            "1" => true,
-                            _ => return None,
-                        });
-                    }
-                }
-            }
             "probe" => probes.push(BatchProbe {
                 width: parts.next()?.parse().ok()?,
                 lane_steps_per_sec: parts.next()?.parse().ok()?,
@@ -270,9 +195,9 @@ fn read_autotune_cache(path: &std::path::Path) -> Option<BatchPolicy> {
         preferred_batch: preferred_batch?,
         probes,
         density_thresholds: Vec::new(),
-        packed_thresholds,
-        quant_thresholds,
-        quant_eligible,
+        packed_thresholds: Vec::new(),
+        quant_thresholds: Vec::new(),
+        quant_eligible: Vec::new(),
     })
 }
 
@@ -581,9 +506,9 @@ mod tests {
                 },
             ],
             density_thresholds: Vec::new(),
-            packed_thresholds: vec![0.0625, 1.01, 0.0],
-            quant_thresholds: vec![0.09375, 0.0, 1.01],
-            quant_eligible: vec![true, false, true],
+            packed_thresholds: Vec::new(),
+            quant_thresholds: Vec::new(),
+            quant_eligible: Vec::new(),
         };
         let path = cache_dir().join("test-autotune-roundtrip.txt");
         fs::write(&path, render_autotune_cache(&policy)).unwrap();
@@ -593,11 +518,13 @@ mod tests {
         assert_eq!(read_autotune_cache(&path), None);
         fs::write(&path, "unexpected_key 3\n").unwrap();
         assert_eq!(read_autotune_cache(&path), None);
-        // An entry from before the sparse kernel's removal is not
-        // reused either.
+        // Entries from before the sparse, packed and int8 kernels'
+        // removal are not reused either.
         fs::write(&path, "preferred_batch 8\nthresholds 0.28\n").unwrap();
         assert_eq!(read_autotune_cache(&path), None);
-        fs::write(&path, "quant_eligible yes,no\n").unwrap();
+        fs::write(&path, "preferred_batch 8\npacked_thresholds 0.0625\n").unwrap();
+        assert_eq!(read_autotune_cache(&path), None);
+        fs::write(&path, "preferred_batch 8\nquant_eligible 1,0\n").unwrap();
         assert_eq!(read_autotune_cache(&path), None);
         let _ = fs::remove_file(&path);
         assert_eq!(read_autotune_cache(&path), None, "missing file");
@@ -619,7 +546,6 @@ mod tests {
         let cfg = AutotuneConfig {
             steps: 3,
             reps: 1,
-            density_reps: 1,
             seed: 0xCAC4E,
             ..AutotuneConfig::default()
         };
@@ -655,7 +581,6 @@ mod tests {
         let cfg = AutotuneConfig {
             steps: 3,
             reps: 1,
-            density_reps: 1,
             seed: 0x5A17ED,
             ..AutotuneConfig::default()
         };

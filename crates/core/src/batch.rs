@@ -26,33 +26,18 @@
 //! continue unperturbed — so a batch's per-step cost tracks its *live*
 //! width, and stragglers never pay for lanes that already answered.
 //!
-//! ## Kernel dispatch
+//! ## One kernel
 //!
-//! The dense lockstep kernels skip an input neuron only when it is
-//! silent in *every* lane, so at batch 16 a spike-sparse stage
-//! degenerates to dense work (almost every neuron is live in *some*
-//! lane). The engine therefore picks one of three kernels per (stage,
-//! step) from the input's measured spike density:
-//!
-//! - **int8** ([`crate::quant::QuantizedDense`]) below the stage's
-//!   quant crossover, only on dense stages the autotuner's accuracy
-//!   gate cleared (it is approximate; the other two are bit-exact);
-//! - **packed** ([`crate::synapse::Synapse::accumulate_batch_packed`])
-//!   below the stage's packed crossover: `u64` lane masks whose replay
-//!   cost scales with events per lane;
-//! - **dense** ([`crate::synapse::Synapse::accumulate_batch`])
-//!   otherwise, whose weight reuse wins when most neurons are live
-//!   anyway.
-//!
-//! Packed and int8 need one mask bit per lane, so batches wider than 64
-//! lanes always run dense. The density probe is free — stage `k`'s
-//! input events are exactly stage `k − 1`'s spike counts for this step
-//! (already tallied by the fire kernel), and the input layer's events
-//! are counted while staging. Crossovers are per-stage and per-model:
-//! measure them with [`crate::autotune::autotune_batch`] and install
-//! via [`BatchedNetwork::set_dispatch`]. The f32 kernels are
-//! bit-identical per lane, so choosing between them only ever changes
-//! wall-clock.
+//! Every (stage, step) that misses the PSP cache below runs the dense
+//! lockstep kernel ([`crate::synapse::Synapse::accumulate_batch`]) into
+//! a batch-innermost PSP; which loop it runs depends only on the
+//! stage's synapse and the lockstep width. There is no per-step kernel
+//! choice to make, so nothing is calibrated or shipped with a model
+//! beyond its preferred width. Each stage's input spike density is
+//! still tallied for the profile, at no extra pass: stage `k`'s input
+//! events are stage `k − 1`'s spike counts for this step (already
+//! counted by the fire loop), and the input layer's are counted while
+//! staging.
 //!
 //! ## Periodic-input PSP caching
 //!
@@ -75,117 +60,43 @@ use crate::layer::{ResetMode, ThresholdPolicy};
 use crate::network::{argmax_last, top2_margin, SpikingNetwork};
 use crate::recorder::RecordLevel;
 use crate::simulator::EvalConfig;
-use crate::synapse::KernelScratch;
 use crate::SnnError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Packed-kernel crossover for stages without a calibrated threshold:
-/// below this density the bit-plane packed kernel
-/// ([`crate::synapse::Synapse::accumulate_batch_packed`]) runs instead
-/// of the dense one. The default is deliberately conservative toward
-/// dense — the dense kernel's worst case is bounded, while a wrongly
-/// packed stage forfeits its weight reuse — so uncalibrated engines
-/// only go packed when the input is almost silent. Measure the real
-/// per-stage crossovers with [`crate::autotune::autotune_batch`].
-pub const DEFAULT_PACKED_CROSSOVER: f32 = 0.05;
-
-/// Quantized-kernel crossover for stages without a calibrated
-/// threshold: below this density an *eligible* stage (see
-/// [`DispatchPolicy::quant_eligible`]) runs the int8 kernel
-/// ([`crate::quant::QuantizedDense`]) instead of the packed replay.
-/// Eligibility is off by default — quantized dispatch is approximate,
-/// so a stage must first pass the autotuner's accuracy-delta gate
-/// ([`crate::autotune::AutotuneConfig::quant_delta`]) before any
-/// threshold applies.
-pub const DEFAULT_QUANT_CROSSOVER: f32 = 0.05;
-
-/// How the engine chooses between the quantized, packed, and dense
-/// kernels. Batches wider than 64 lanes run dense under every mode.
+/// Inert: `Auto` is the only variant, and the engine has one kernel.
+/// Kept so existing callers such as the `perfbench` harness still build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// Per (stage, step): quantized below the stage's quant crossover
-    /// (accuracy-gated stages only), else packed below the packed
-    /// crossover, else dense.
+    /// Inert: the only mode.
     #[default]
     Auto,
-    /// Always the dense lockstep kernels (the pre-dispatch behavior).
-    ForceDense,
-    /// Always the bit-plane packed kernels.
-    ForcePacked,
-    /// Always the int8 quantized kernels where a stage has a quantized
-    /// table; other stages fall back to the packed kernels. Bypasses
-    /// the accuracy gate — for benchmarks and the quant probe, not
-    /// production serving.
-    ForceQuantized,
 }
 
-/// The engine's kernel-dispatch configuration.
+/// Inert: the engine ignores every field (see
+/// [`BatchedNetwork::set_dispatch`]). Kept, with its five fields and its
+/// `Default`, so existing callers such as the `perfbench` harness still
+/// build.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DispatchPolicy {
-    /// Strategy selection mode.
+    /// Inert: always [`DispatchMode::Auto`].
     pub mode: DispatchMode,
-    /// Ignored: the crossovers of the removed sparse kernel, kept so
-    /// existing callers such as the `perfbench` harness still build.
+    /// Inert: ignored by the engine.
     pub thresholds: Vec<f32>,
-    /// Per-stage packed-kernel crossovers — one entry per hidden stage
-    /// plus a final entry for the output synapse. Below a stage's entry
-    /// the packed kernel runs instead of the dense one; missing entries
-    /// (or an empty vector) fall back to [`DEFAULT_PACKED_CROSSOVER`].
+    /// Inert: ignored by the engine.
     pub packed_thresholds: Vec<f32>,
-    /// Per-stage quantized-kernel crossovers, same layout; consulted
-    /// only for stages marked eligible. Missing entries fall back to
-    /// [`DEFAULT_QUANT_CROSSOVER`].
+    /// Inert: ignored by the engine.
     pub quant_thresholds: Vec<f32>,
-    /// Per-stage accuracy-gate verdicts: `Auto` dispatch may pick the
-    /// quantized kernel only where this is `true`. Missing entries (or
-    /// an empty vector — the default) mean **not eligible**, so an
-    /// uncalibrated engine never quantizes and stays bit-exact.
+    /// Inert: ignored by the engine.
     pub quant_eligible: Vec<bool>,
 }
 
-impl DispatchPolicy {
-    /// A forced-strategy policy (for tests and benchmarks).
-    pub fn forced(mode: DispatchMode) -> Self {
-        DispatchPolicy {
-            mode,
-            ..DispatchPolicy::default()
-        }
-    }
-
-    /// The packed crossover for one stage index.
-    fn packed_threshold(&self, stage: usize) -> f32 {
-        self.packed_thresholds
-            .get(stage)
-            .copied()
-            .unwrap_or(DEFAULT_PACKED_CROSSOVER)
-    }
-
-    /// The quantized crossover for one stage index.
-    fn quant_threshold(&self, stage: usize) -> f32 {
-        self.quant_thresholds
-            .get(stage)
-            .copied()
-            .unwrap_or(DEFAULT_QUANT_CROSSOVER)
-    }
-
-    /// Whether the accuracy gate cleared this stage for quantized
-    /// dispatch under `Auto`.
-    fn stage_quant_eligible(&self, stage: usize) -> bool {
-        self.quant_eligible.get(stage).copied().unwrap_or(false)
-    }
-}
-
-/// Per-stage kernel-dispatch counters of one lockstep run.
+/// Per-stage step counters of one lockstep run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageDispatchStats {
     /// Steps executed with the dense kernel.
     pub dense_steps: u64,
-    /// Steps executed with the bit-plane packed kernel.
-    pub packed_steps: u64,
-    /// Steps executed with the int8 quantized kernel.
-    pub quant_steps: u64,
     /// Steps that reused the cached PSP (no kernel ran).
     pub cached_steps: u64,
     /// Sum of the observed input densities over executed steps.
@@ -193,27 +104,22 @@ pub struct StageDispatchStats {
 }
 
 impl StageDispatchStats {
-    /// Mean input density over the steps that ran a kernel.
+    /// Mean input density over the steps that ran the kernel.
     pub fn mean_density(&self) -> f64 {
-        let executed = self.dense_steps + self.packed_steps + self.quant_steps;
-        if executed == 0 {
+        if self.dense_steps == 0 {
             0.0
         } else {
-            self.density_sum / executed as f64
+            self.density_sum / self.dense_steps as f64
         }
     }
 }
 
-/// Which kernel strategy executed one (stage, step) — the label a
-/// [`ProfileSink`] records alongside the step's density and wall time.
+/// How one (stage, step) got its PSP — the label a [`ProfileSink`]
+/// records alongside the step's density and wall time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
     /// The dense lockstep kernel ran.
     Dense,
-    /// The bit-plane packed kernel ran.
-    Packed,
-    /// The int8 quantized kernel ran.
-    Quantized,
     /// The cached first-stage PSP was replayed (no kernel ran).
     Cached,
 }
@@ -226,8 +132,6 @@ const DENSITY_FP: f64 = 1_000_000.0;
 #[derive(Debug, Default)]
 struct StageProfileCell {
     dense_steps: AtomicU64,
-    packed_steps: AtomicU64,
-    quant_steps: AtomicU64,
     cached_steps: AtomicU64,
     /// Density × [`DENSITY_FP`], summed over the steps that ran a
     /// kernel.
@@ -236,8 +140,8 @@ struct StageProfileCell {
     kernel_nanos: AtomicU64,
 }
 
-/// A lock-free engine profiling sink: per-(stage, step) kernel
-/// strategy, observed input density, and stage wall time, plus
+/// A lock-free engine profiling sink: per-(stage, step) kernel or
+/// cache replay, observed input density, and stage wall time, plus
 /// whole-step wall time and batch counts.
 ///
 /// Attach one via [`BatchedNetwork::set_profile_sink`]; it may be
@@ -278,16 +182,15 @@ impl ProfileSink {
         let Some(cell) = self.stages.get(stage) else {
             return; // sink sized for a different network: drop silently
         };
-        let counter = match kind {
-            KernelKind::Dense => &cell.dense_steps,
-            KernelKind::Packed => &cell.packed_steps,
-            KernelKind::Quantized => &cell.quant_steps,
-            KernelKind::Cached => &cell.cached_steps,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        if kind != KernelKind::Cached {
-            cell.density_fp_sum
-                .fetch_add((density * DENSITY_FP) as u64, Ordering::Relaxed);
+        match kind {
+            KernelKind::Dense => {
+                cell.dense_steps.fetch_add(1, Ordering::Relaxed);
+                cell.density_fp_sum
+                    .fetch_add((density * DENSITY_FP) as u64, Ordering::Relaxed);
+            }
+            KernelKind::Cached => {
+                cell.cached_steps.fetch_add(1, Ordering::Relaxed);
+            }
         }
         cell.kernel_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
@@ -305,8 +208,6 @@ impl ProfileSink {
     pub fn reset(&self) {
         for cell in &self.stages {
             cell.dense_steps.store(0, Ordering::Relaxed);
-            cell.packed_steps.store(0, Ordering::Relaxed);
-            cell.quant_steps.store(0, Ordering::Relaxed);
             cell.cached_steps.store(0, Ordering::Relaxed);
             cell.density_fp_sum.store(0, Ordering::Relaxed);
             cell.kernel_nanos.store(0, Ordering::Relaxed);
@@ -324,21 +225,18 @@ impl ProfileSink {
                 .iter()
                 .map(|cell| {
                     let dense = cell.dense_steps.load(Ordering::Relaxed);
-                    let packed = cell.packed_steps.load(Ordering::Relaxed);
-                    let quant = cell.quant_steps.load(Ordering::Relaxed);
-                    let executed = dense + packed + quant;
-                    let mean_density = if executed == 0 {
+                    let mean_density = if dense == 0 {
                         0.0
                     } else {
                         cell.density_fp_sum.load(Ordering::Relaxed) as f64
                             / DENSITY_FP
-                            / executed as f64
+                            / dense as f64
                     };
                     StageProfileSnapshot {
                         dense_steps: dense,
                         sparse_steps: 0,
-                        packed_steps: packed,
-                        quant_steps: quant,
+                        packed_steps: 0,
+                        quant_steps: 0,
                         cached_steps: cell.cached_steps.load(Ordering::Relaxed),
                         mean_density,
                         kernel_nanos: cell.kernel_nanos.load(Ordering::Relaxed),
@@ -373,13 +271,15 @@ pub struct StageProfileSnapshot {
     /// Always 0: the sparse kernel is gone; kept so existing readers
     /// such as the `perfbench` harness still build.
     pub sparse_steps: u64,
-    /// Steps executed with the bit-plane packed kernel.
+    /// Always 0: the packed kernel is gone; kept so existing readers
+    /// such as the `perfbench` harness still build.
     pub packed_steps: u64,
-    /// Steps executed with the int8 quantized kernel.
+    /// Always 0: the int8 kernel is gone; kept so existing readers
+    /// such as the `perfbench` harness still build.
     pub quant_steps: u64,
     /// Steps that replayed the cached PSP (no kernel ran).
     pub cached_steps: u64,
-    /// Mean input density over the steps that ran a kernel.
+    /// Mean input density over the steps that ran the kernel.
     pub mean_density: f64,
     /// Stage wall time (kernel + integrate + fire), ns.
     pub kernel_nanos: u64,
@@ -388,7 +288,7 @@ pub struct StageProfileSnapshot {
 impl StageProfileSnapshot {
     /// Total steps accounted to this stage.
     pub fn total_steps(&self) -> u64 {
-        self.dense_steps + self.packed_steps + self.quant_steps + self.cached_steps
+        self.dense_steps + self.cached_steps
     }
 }
 
@@ -416,26 +316,6 @@ struct StageState {
     g: Vec<f32>,
     psp: Vec<f32>,
     out: Vec<f32>,
-    /// Layout tag of `psp`: `true` when the packed or int8 kernel last
-    /// wrote it lane-major (`[lane][neuron]`); the integration step
-    /// folds either layout into the batch-innermost membrane, so no
-    /// standalone transpose pass ever runs.
-    psp_lane_major: bool,
-    /// Bit-plane of `out`, built by `fire_lanes` in the same pass that
-    /// writes the spikes: one `u64` per neuron, bit `b` set iff lane
-    /// `b` fired this step. Rebuilt every step at the current width
-    /// (so retirement compaction never has to remap it) and consumed
-    /// by the *next* stage's packed kernel within the same `step`
-    /// call.
-    plane_masks: Vec<u64>,
-    /// The step's single spike magnitude when the threshold policy is
-    /// uniform across neurons and lanes (fixed/phase) — the degenerate
-    /// one-entry exponent plane. `None` for burst layers, whose
-    /// magnitudes the packed replay reads off `out` directly.
-    plane_uniform: Option<f32>,
-    /// Whether `plane_masks` was built this step (lockstep width fit
-    /// the 64-bit plane and the dispatch mode can select packed).
-    planes_valid: bool,
 }
 
 impl StageState {
@@ -448,16 +328,12 @@ impl StageState {
         self.psp.resize(len, 0.0);
         self.out.clear();
         self.out.resize(len, 0.0);
-        self.psp_lane_major = false;
-        self.plane_masks.clear();
-        self.plane_uniform = None;
-        self.planes_valid = false;
     }
 
     fn remove_column(&mut self, width: usize, col: usize) {
         remove_column(&mut self.vmem, width, col);
         remove_column(&mut self.g, width, col);
-        remove_psp_column(&mut self.psp, self.psp_lane_major, width, col);
+        remove_column(&mut self.psp, width, col);
         remove_column(&mut self.out, width, col);
     }
 }
@@ -467,7 +343,6 @@ impl StageState {
 struct PspSlot {
     token: u64,
     psp: Vec<f32>,
-    lane_major: bool,
 }
 
 /// Upper bound on cached first-stage PSP slots. Periodic input codings
@@ -476,35 +351,10 @@ struct PspSlot {
 /// cycling unbounded token values.
 const MAX_INPUT_PSP_SLOTS: usize = 32;
 
-/// `vmem += psp` in whichever layout the PSP was produced: the
-/// batch-innermost case is a contiguous elementwise add, the lane-major
-/// case folds the transpose into the same single pass. `pub(crate)` so
-/// the autotuner's crossover calibration can charge each strategy its
-/// real integration cost.
-pub(crate) fn integrate(vmem: &mut [f32], psp: &[f32], lane_major: bool, n: usize, w: usize) {
-    if lane_major {
-        for (b, lane_psp) in psp.chunks_exact(n).enumerate() {
-            for (j, &p) in lane_psp.iter().enumerate() {
-                vmem[j * w + b] += p;
-            }
-        }
-    } else {
-        for (v, p) in vmem.iter_mut().zip(psp) {
-            *v += p;
-        }
-    }
-}
-
-/// Column removal for a PSP buffer in either layout: batch-innermost
-/// buffers compact like every other SoA buffer; lane-major buffers drop
-/// the lane's contiguous row instead.
-fn remove_psp_column(buf: &mut Vec<f32>, lane_major: bool, width: usize, col: usize) {
-    if lane_major {
-        debug_assert!(col < width && buf.len().is_multiple_of(width));
-        let rows = buf.len() / width;
-        buf.drain(col * rows..(col + 1) * rows);
-    } else {
-        remove_column(buf, width, col);
+/// `vmem += psp`, elementwise over the batch-innermost buffers.
+fn integrate(vmem: &mut [f32], psp: &[f32]) {
+    for (v, p) in vmem.iter_mut().zip(psp) {
+        *v += p;
     }
 }
 
@@ -543,8 +393,6 @@ pub struct BatchedNetwork {
     stages: Vec<StageState>,
     out_vmem: Vec<f32>,
     out_psp: Vec<f32>,
-    /// Layout tag of `out_psp` (see [`StageState::psp_lane_major`]).
-    out_psp_lane_major: bool,
     input_soa: Vec<f32>,
     /// Nonzero entries currently staged per column (the input layer's
     /// free density probe).
@@ -556,24 +404,7 @@ pub struct BatchedNetwork {
     /// a periodic drive reproduces the identical PSP. Invalidated
     /// whenever the width changes.
     input_psp_cache: Vec<PspSlot>,
-    dispatch: DispatchPolicy,
-    /// Per-stage magnitude base for the packed kernel's exponent
-    /// plane: stage `k`'s input spikes carry the presynaptic layer's
-    /// threshold, so magnitudes are `vth · 2^j` exactly (phase halving
-    /// and power-of-two burst growth are exact in `f32`). `None` when
-    /// the presynaptic magnitudes have no common power-of-two base
-    /// (non-pow2 burst β, analog input) — the packed kernel then
-    /// carries every magnitude on its raw side channel.
-    packed_base: Vec<Option<f32>>,
-    /// Per-stage int8 weight tables for the quantized kernel: derived
-    /// eagerly from dense-synapse weights at construction, overridable
-    /// from snapshot blobs via [`install_quantized`](Self::install_quantized).
-    /// `None` for conv/pool stages (their kernels scatter geometry, not
-    /// a weight matrix) and for stages that failed quantization.
-    quant: Vec<Option<crate::quant::QuantizedDense>>,
-    quant_scratch: crate::quant::QuantScratch,
-    scratch: KernelScratch,
-    /// Per-stage dispatch counters (hidden stages, then the output
+    /// Per-stage step counters (hidden stages, then the output
     /// synapse); reset by [`begin_batch`](Self::begin_batch).
     stats: Vec<StageDispatchStats>,
     /// Optional profiling sink; when absent, stepping takes no
@@ -595,40 +426,7 @@ impl BatchedNetwork {
             ));
         }
         let stages = vec![StageState::default(); template.layers().len()];
-        let n_dispatch = template.layers().len() + 1;
-        // Stage k ≥ 1 is fed by layer k − 1's spikes, whose magnitudes
-        // are that layer's threshold at fire time: vth (fixed),
-        // vth · 2^−(1+phase) (phase), or vth · g with g a power of β
-        // (burst) — all exact `vth · 2^j` when β is a power of two.
-        // Stage 0's base depends on the input coding; the driver
-        // installs it via `set_input_magnitude_base`.
-        let mut packed_base = vec![None; n_dispatch];
-        for (k, layer) in template.layers().iter().enumerate() {
-            packed_base[k + 1] = match layer.policy() {
-                ThresholdPolicy::Fixed { vth } | ThresholdPolicy::Phase { vth, .. } => Some(vth),
-                ThresholdPolicy::Burst { vth, beta } => {
-                    crate::synapse::is_exact_pow2(beta).then_some(vth)
-                }
-            };
-        }
-        // Quantize every dense stage's weights eagerly: the table is
-        // inert until a policy marks a stage eligible (or a forced
-        // quant run asks for it), so default dispatch stays bit-exact.
-        let quant = (0..n_dispatch)
-            .map(|k| {
-                let syn = if k < template.layers().len() {
-                    template.layers()[k].synapse()
-                } else {
-                    template.output_synapse()
-                };
-                match syn {
-                    crate::synapse::Synapse::Dense { weight } => {
-                        crate::quant::QuantizedDense::from_weights(weight)
-                    }
-                    _ => None,
-                }
-            })
-            .collect();
+        let n_stats = template.layers().len() + 1;
         Ok(BatchedNetwork {
             template,
             max_batch,
@@ -636,16 +434,10 @@ impl BatchedNetwork {
             stages,
             out_vmem: Vec::new(),
             out_psp: Vec::new(),
-            out_psp_lane_major: false,
             input_soa: Vec::new(),
             input_nnz: Vec::new(),
             input_psp_cache: Vec::new(),
-            dispatch: DispatchPolicy::default(),
-            packed_base,
-            quant,
-            quant_scratch: crate::quant::QuantScratch::default(),
-            scratch: KernelScratch::default(),
-            stats: vec![StageDispatchStats::default(); n_dispatch],
+            stats: vec![StageDispatchStats::default(); n_stats],
             profile: None,
         })
     }
@@ -663,94 +455,12 @@ impl BatchedNetwork {
         self.profile.as_ref()
     }
 
-    /// Installs a kernel-dispatch policy (mode + per-stage density
-    /// crossovers). Dispatch never changes per-lane results — only which
-    /// bit-identical kernel executes each (stage, step).
-    pub fn set_dispatch(&mut self, dispatch: DispatchPolicy) {
-        self.dispatch = dispatch;
-    }
+    /// Inert: ignores its argument, since the engine has one kernel.
+    /// Kept so existing callers such as the `perfbench` harness still
+    /// build.
+    pub fn set_dispatch(&mut self, _dispatch: DispatchPolicy) {}
 
-    /// The active kernel-dispatch policy.
-    pub fn dispatch(&self) -> &DispatchPolicy {
-        &self.dispatch
-    }
-
-    /// Whether any plane-fed stage (k ≥ 1: hidden stages and the
-    /// output synapse) can ever consume a fire-pass bit-plane under
-    /// the current `Auto` thresholds. A calibrated policy that zeroed
-    /// every downstream packed/quant crossover never replays a plane,
-    /// so fire skips building them.
-    fn planes_useful(&self) -> bool {
-        (1..self.stats.len()).any(|k| {
-            self.dispatch.packed_threshold(k) > 0.0
-                || (self.dispatch.stage_quant_eligible(k)
-                    && self.quant[k].is_some()
-                    && self.dispatch.quant_threshold(k) > 0.0)
-        })
-    }
-
-    /// Declares the common power-of-two base of the *staged input's*
-    /// spike magnitudes, enabling the packed kernel's exponent plane
-    /// on stage 0: `Some(1.0)` for rate coding (unit spikes) and phase
-    /// coding (`2^−k` weights), `None` for analog drives (real coding)
-    /// or anything else. A wrong base never corrupts results — the
-    /// packed pack pass verifies each magnitude's reconstruction
-    /// bit-exactly and falls back to raw storage — it only wastes the
-    /// plane. Hidden-stage bases are derived from the layer thresholds
-    /// at construction.
-    pub fn set_input_magnitude_base(&mut self, base: Option<f32>) {
-        self.packed_base[0] = base;
-    }
-
-    /// The per-stage int8 weight tables (hidden stages, then the output
-    /// synapse). Entries are `None` for conv/pool stages and stages
-    /// that failed quantization.
-    pub fn quantized(&self) -> &[Option<crate::quant::QuantizedDense>] {
-        &self.quant
-    }
-
-    /// Replaces the per-stage int8 tables (the snapshot-v6 install
-    /// path: serve a saved model with the exact codes it was gated
-    /// with, instead of re-deriving them from the f32 weights).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::InvalidConfig`] when the table count is not
-    /// `layers + 1` or a `Some` entry's shape does not match its
-    /// stage's synapse.
-    pub fn install_quantized(
-        &mut self,
-        tables: Vec<Option<crate::quant::QuantizedDense>>,
-    ) -> Result<(), SnnError> {
-        let n_dispatch = self.template.layers().len() + 1;
-        if tables.len() != n_dispatch {
-            return Err(SnnError::InvalidConfig(format!(
-                "quantized table count {} != {n_dispatch} dispatch stages",
-                tables.len()
-            )));
-        }
-        for (k, table) in tables.iter().enumerate() {
-            let Some(qd) = table else { continue };
-            let syn = if k < self.template.layers().len() {
-                self.template.layers()[k].synapse()
-            } else {
-                self.template.output_synapse()
-            };
-            if qd.input_len() != syn.input_len() || qd.output_len() != syn.output_len() {
-                return Err(SnnError::InvalidConfig(format!(
-                    "quantized table {k} shape {}x{} != stage shape {}x{}",
-                    qd.input_len(),
-                    qd.output_len(),
-                    syn.input_len(),
-                    syn.output_len()
-                )));
-            }
-        }
-        self.quant = tables;
-        Ok(())
-    }
-
-    /// Per-stage dispatch counters of the current batch (one entry per
+    /// Per-stage step counters of the current batch (one entry per
     /// hidden stage, then the output synapse). Reset by
     /// [`begin_batch`](Self::begin_batch).
     pub fn dispatch_stats(&self) -> &[StageDispatchStats] {
@@ -814,7 +524,6 @@ impl BatchedNetwork {
         self.out_vmem.resize(classes * width, 0.0);
         self.out_psp.clear();
         self.out_psp.resize(classes * width, 0.0);
-        self.out_psp_lane_major = false;
         self.input_soa.clear();
         self.input_soa
             .resize(self.template.input_len() * width, 0.0);
@@ -852,7 +561,7 @@ impl BatchedNetwork {
             stage.remove_column(width, col);
         }
         remove_column(&mut self.out_vmem, width, col);
-        remove_psp_column(&mut self.out_psp, self.out_psp_lane_major, width, col);
+        remove_column(&mut self.out_psp, width, col);
         remove_column(&mut self.input_soa, width, col);
         self.input_nnz.remove(col);
         // Cached PSPs are sized for the old width.
@@ -919,21 +628,6 @@ impl BatchedNetwork {
             )));
         }
         let step_t0 = self.profile.is_some().then(Instant::now);
-        // Fire packs each stage's spike row into its bit-plane in the
-        // same pass whenever the packed or quantized kernel could
-        // consume it: the width must fit the 64-bit mask plane and the
-        // dispatch mode must be able to select a plane consumer. Under
-        // Auto the per-stage thresholds are consulted too — a policy
-        // whose calibration zeroed every downstream packed/quant
-        // crossover (dense always wins) makes the plane build pure
-        // overhead, so fire skips it (the BENCH v5 stage-0 MLP
-        // regression: auto paid plane builds it never replayed).
-        let build_planes = w <= 64
-            && match self.dispatch.mode {
-                DispatchMode::ForcePacked | DispatchMode::ForceQuantized => true,
-                DispatchMode::Auto => self.planes_useful(),
-                DispatchMode::ForceDense => false,
-            };
         for (k, layer) in self.template.layers().iter().enumerate() {
             let stage_t0 = self.profile.is_some().then(Instant::now);
             let (done, rest) = self.stages.split_at_mut(k);
@@ -943,70 +637,37 @@ impl BatchedNetwork {
             } else {
                 &done[k - 1].out
             };
-            // Stage k's packed kernel replays the bit-plane stage k−1's
-            // fire built earlier in this same step; stage 0 has no
-            // presynaptic fire pass and self-packs instead.
-            let planes = if k == 0 {
-                None
-            } else {
-                let prev = &done[k - 1];
-                prev.planes_valid
-                    .then_some((prev.plane_masks.as_slice(), prev.plane_uniform))
-            };
-            // 1. PSP accumulation, dispatched on the input's spike
-            // density; the first stage may serve straight from the
-            // per-token cache (skipping the kernel — and, for the
-            // caller, the encoder and staging — entirely). The density
-            // probe is free: stage 0's events were counted while
-            // staging, and stage k's input events are exactly stage
-            // k−1's spike row for this step, written by `fire_lanes`
-            // just above.
-            let n = layer.len();
+            // 1. PSP accumulation; the first stage may serve straight
+            // from the per-token cache (skipping the kernel — and, for
+            // the caller, the encoder and staging — entirely).
             let token = if k == 0 { input_token } else { None };
             let slot =
                 token.and_then(|tok| self.input_psp_cache.iter().position(|s| s.token == tok));
             let (kind, density) = if let Some(si) = slot {
                 self.stats[k].cached_steps += 1;
-                let slot = &self.input_psp_cache[si];
-                // 2. Integration — a lane-major PSP is folded into the
-                // batch-innermost membrane in the same pass, so the
-                // packed path never pays a standalone transpose.
-                integrate(&mut stage.vmem, &slot.psp, slot.lane_major, n, w);
+                // 2. Integration.
+                integrate(&mut stage.vmem, &self.input_psp_cache[si].psp);
                 (KernelKind::Cached, 0.0)
             } else {
                 let events = stage_events(k, w, &self.input_nnz, spike_counts);
-                let kind = accumulate_dispatched(
+                let density = accumulate(
                     layer.synapse(),
                     input,
                     &mut stage.psp,
                     w,
                     events,
-                    &self.dispatch,
-                    k,
-                    self.packed_base[k],
-                    planes,
-                    self.quant[k].as_ref(),
-                    &mut self.quant_scratch,
-                    &mut self.scratch,
                     &mut self.stats[k],
                 )?;
-                // Packed and int8 kernels both write lane-major.
-                let lane_major = kind != KernelKind::Dense;
-                stage.psp_lane_major = lane_major;
                 if let Some(tok) = token {
                     if self.input_psp_cache.len() < MAX_INPUT_PSP_SLOTS {
                         self.input_psp_cache.push(PspSlot {
                             token: tok,
                             psp: stage.psp.clone(),
-                            lane_major,
                         });
                     }
                 }
-                integrate(&mut stage.vmem, &stage.psp, lane_major, n, w);
-                (
-                    kind,
-                    events as f64 / (layer.synapse().input_len() * w) as f64,
-                )
+                integrate(&mut stage.vmem, &stage.psp);
+                (KernelKind::Dense, density)
             };
             if let Some(bias) = layer.bias() {
                 for (vrow, &bb) in stage.vmem.chunks_exact_mut(w).zip(bias) {
@@ -1015,10 +676,9 @@ impl BatchedNetwork {
                     }
                 }
             }
-            // 3–4. Fire, reset, update burst functions, count spikes —
-            // and pack the spike row's bit-plane in the same pass.
+            // 3–4. Fire, reset, update burst functions, count spikes.
             let counts = &mut spike_counts[(k + 1) * w..(k + 2) * w];
-            stage.plane_uniform = fire_lanes(
+            fire_lanes(
                 layer.policy(),
                 layer.reset_mode(),
                 t,
@@ -1027,15 +687,12 @@ impl BatchedNetwork {
                 &mut stage.out,
                 counts,
                 w,
-                build_planes.then_some(&mut stage.plane_masks),
             );
-            stage.planes_valid = build_planes;
             if let (Some(sink), Some(t0)) = (&self.profile, stage_t0) {
                 sink.record_stage(k, kind, density, t0.elapsed().as_nanos() as u64);
             }
         }
-        // Output accumulator: integrate, never fire. Same density
-        // dispatch, with the last stage's spike row as the probe.
+        // Output accumulator: integrate, never fire.
         let last_out: &[f32] = match self.stages.last() {
             Some(s) => &s.out,
             None => &self.input_soa,
@@ -1043,33 +700,15 @@ impl BatchedNetwork {
         let k_out = self.stages.len();
         let out_t0 = self.profile.is_some().then(Instant::now);
         let events = stage_events(k_out, w, &self.input_nnz, spike_counts);
-        let out_planes = self.stages.last().and_then(|s| {
-            s.planes_valid
-                .then_some((s.plane_masks.as_slice(), s.plane_uniform))
-        });
-        let out_kind = accumulate_dispatched(
+        let density = accumulate(
             self.template.output_synapse(),
             last_out,
             &mut self.out_psp,
             w,
             events,
-            &self.dispatch,
-            k_out,
-            self.packed_base[k_out],
-            out_planes,
-            self.quant[k_out].as_ref(),
-            &mut self.quant_scratch,
-            &mut self.scratch,
             &mut self.stats[k_out],
         )?;
-        self.out_psp_lane_major = out_kind != KernelKind::Dense;
-        integrate(
-            &mut self.out_vmem,
-            &self.out_psp,
-            self.out_psp_lane_major,
-            self.template.output_len(),
-            w,
-        );
+        integrate(&mut self.out_vmem, &self.out_psp);
         if let Some(bias) = self.template.output_bias() {
             for (vrow, &bb) in self.out_vmem.chunks_exact_mut(w).zip(bias) {
                 for v in vrow {
@@ -1078,9 +717,13 @@ impl BatchedNetwork {
             }
         }
         if let Some(sink) = &self.profile {
-            let density = events as f64 / (self.template.output_synapse().input_len() * w) as f64;
             if let Some(t0) = out_t0 {
-                sink.record_stage(k_out, out_kind, density, t0.elapsed().as_nanos() as u64);
+                sink.record_stage(
+                    k_out,
+                    KernelKind::Dense,
+                    density,
+                    t0.elapsed().as_nanos() as u64,
+                );
             }
             if let Some(t0) = step_t0 {
                 sink.record_step(t0.elapsed().as_nanos() as u64);
@@ -1126,98 +769,29 @@ fn stage_events(stage_idx: usize, w: usize, input_nnz: &[usize], spike_counts: &
     }
 }
 
-/// Zeroes `psp`, runs whichever kernel the dispatch policy selects for
-/// this (stage, step) given the input's event count, and records the
-/// decision in `st`. Returns the kernel that ran; every kind but
-/// `Dense` writes the PSP lane-major. The shared dispatch body of the
-/// hidden-stage loop and the output accumulator in
-/// [`BatchedNetwork::step`].
-#[allow(clippy::too_many_arguments)]
-fn accumulate_dispatched(
+/// Zeroes `psp`, runs the dense lockstep kernel into it, and records
+/// the step and its input density (`events` per input lane-element) in
+/// `st`; returns that density. The shared body of the hidden-stage loop
+/// and the output accumulator in [`BatchedNetwork::step`].
+fn accumulate(
     syn: &crate::synapse::Synapse,
     input: &[f32],
     psp: &mut [f32],
     w: usize,
     events: u64,
-    dispatch: &DispatchPolicy,
-    stage_idx: usize,
-    base: Option<f32>,
-    planes: Option<(&[u64], Option<f32>)>,
-    quant: Option<&crate::quant::QuantizedDense>,
-    quant_scratch: &mut crate::quant::QuantScratch,
-    scratch: &mut KernelScratch,
     st: &mut StageDispatchStats,
-) -> Result<KernelKind, SnnError> {
-    let density = events as f64 / (syn.input_len() * w) as f64;
-    // The packed and int8 kernels hold one mask bit per lane, so wider
-    // batches run dense under every mode. Stages without an int8 table
-    // degrade from ForceQuantized to packed.
-    let kind = match dispatch.mode {
-        _ if w > 64 => KernelKind::Dense,
-        DispatchMode::ForceDense => KernelKind::Dense,
-        DispatchMode::ForcePacked => KernelKind::Packed,
-        DispatchMode::ForceQuantized if quant.is_some() => KernelKind::Quantized,
-        DispatchMode::ForceQuantized => KernelKind::Packed,
-        DispatchMode::Auto => {
-            let d = density as f32;
-            if quant.is_some()
-                && dispatch.stage_quant_eligible(stage_idx)
-                && d < dispatch.quant_threshold(stage_idx)
-            {
-                KernelKind::Quantized
-            } else if d < dispatch.packed_threshold(stage_idx) {
-                KernelKind::Packed
-            } else {
-                KernelKind::Dense
-            }
-        }
-    };
+) -> Result<f64, SnnError> {
     psp.iter_mut().for_each(|p| *p = 0.0);
-    match kind {
-        KernelKind::Dense => {
-            syn.accumulate_batch(input, psp, w)?;
-            st.dense_steps += 1;
-        }
-        KernelKind::Packed => {
-            // Hidden-fed stages replay the bit-plane fire built during
-            // staging; stage 0 (and any caller without planes)
-            // self-packs from the input SoA.
-            match planes {
-                Some((masks, uniform)) => {
-                    syn.accumulate_batch_packed_planes(input, psp, w, masks, uniform, base)?
-                }
-                None => syn.accumulate_batch_packed(input, psp, w, base, scratch)?,
-            }
-            st.packed_steps += 1;
-        }
-        KernelKind::Quantized => {
-            let qd = quant.expect("dispatch checked the table above");
-            match planes {
-                Some((masks, uniform)) => {
-                    qd.accumulate_packed_planes(input, psp, w, masks, uniform, base, quant_scratch)?
-                }
-                None => qd.accumulate_packed(input, psp, w, base, quant_scratch)?,
-            }
-            st.quant_steps += 1;
-        }
-        KernelKind::Cached => unreachable!("cache hits never dispatch a kernel"),
-    }
+    syn.accumulate_batch(input, psp, w)?;
+    let density = events as f64 / (syn.input_len() * w) as f64;
+    st.dense_steps += 1;
     st.density_sum += density;
-    Ok(kind)
+    Ok(density)
 }
 
 /// The fire/reset/burst update of one stage across all lanes, batch
 /// innermost, reproducing [`crate::SpikingLayer::step`] exactly per
 /// lane.
-///
-/// When `masks` is `Some`, a trailing [`pack_fire_masks`] sweep packs
-/// the spike rows into their bit-planes — one `u64` per neuron, bit
-/// `b` set iff lane `b` fired — so the next stage's packed kernel gets
-/// its planes without rescanning the input SoA. Callers only request
-/// planes at widths ≤ 64. Returns the step's uniform spike magnitude
-/// (the one-entry exponent plane) when the policy has one: fixed and
-/// phase thresholds are uniform across neurons and lanes; burst
-/// magnitudes are not.
 #[allow(clippy::too_many_arguments)]
 fn fire_lanes(
     policy: ThresholdPolicy,
@@ -1228,19 +802,15 @@ fn fire_lanes(
     out: &mut [f32],
     counts: &mut [u64],
     width: usize,
-    masks: Option<&mut Vec<u64>>,
-) -> Option<f32> {
-    debug_assert!(masks.is_none() || width <= 64);
+) {
     match policy {
         ThresholdPolicy::Fixed { vth } => {
-            fire_uniform_threshold(vth, reset, vmem, out, counts, width, masks);
-            Some(vth)
+            fire_uniform_threshold(vth, reset, vmem, out, counts, width);
         }
         ThresholdPolicy::Phase { vth, period } => {
             let phase = (t % period as u64) as i32;
             let th = vth * 0.5f32.powi(1 + phase);
-            fire_uniform_threshold(th, reset, vmem, out, counts, width, masks);
-            Some(th)
+            fire_uniform_threshold(th, reset, vmem, out, counts, width);
         }
         ThresholdPolicy::Burst { vth, beta } => {
             for ((vrow, grow), orow) in vmem
@@ -1265,15 +835,12 @@ fn fire_lanes(
                     counts[l] += fire as u64;
                 }
             }
-            pack_fire_masks(out, width, masks);
-            None
         }
     }
 }
 
 /// Fire/reset for policies whose threshold is uniform across neurons
-/// and lanes at a given step (fixed and phase); `masks` requests the
-/// trailing bit-plane sweep ([`pack_fire_masks`]).
+/// and lanes at a given step (fixed and phase).
 fn fire_uniform_threshold(
     th: f32,
     reset: ResetMode,
@@ -1281,7 +848,6 @@ fn fire_uniform_threshold(
     out: &mut [f32],
     counts: &mut [u64],
     width: usize,
-    masks: Option<&mut Vec<u64>>,
 ) {
     for (vrow, orow) in vmem
         .chunks_exact_mut(width)
@@ -1299,27 +865,6 @@ fn fire_uniform_threshold(
                 vrow[l]
             };
             counts[l] += fire as u64;
-        }
-    }
-    pack_fire_masks(out, width, masks);
-}
-
-/// Pack the just-written spike rows into per-neuron bit-planes, one
-/// `u64` per neuron with bit `b` set iff lane `b` fired.
-///
-/// This runs as a separate pass *after* the fire loop on purpose:
-/// folding `mrow |= (fire as u64) << l` into the fire body introduces a
-/// loop-carried scalar dependency with a variable shift that defeats
-/// SLP vectorization of the whole fire update. A second sweep over the
-/// cache-hot spike rows with the branch-free `movmskps` fold
-/// ([`crate::synapse::lane_mask`]) keeps fire at full SIMD speed and
-/// packs 4 lanes per instruction.
-#[inline(always)]
-fn pack_fire_masks(out: &[f32], width: usize, masks: Option<&mut Vec<u64>>) {
-    if let Some(masks) = masks {
-        masks.clear();
-        for orow in out.chunks_exact(width) {
-            masks.push(crate::synapse::lane_mask(orow));
         }
     }
 }
@@ -1487,11 +1032,6 @@ impl<'net> BatchedStepwiseInference<'net> {
             .filter(|&p| (p as usize) <= MAX_INPUT_PSP_SLOTS)
             .map(u64::from);
         let input_is_spiking = cfg.scheme.input != InputCoding::Real;
-        // Spiking input codings emit unit-base magnitudes: 1.0 (rate,
-        // TTFS) or 2^−(1+phase) (phase) — all exactly `1.0 · 2^j`, so
-        // the packed kernel's exponent plane covers stage 0. Real
-        // coding stages an analog drive with no common base.
-        net.set_input_magnitude_base(input_is_spiking.then_some(1.0));
         let cache_rows = if input_is_spiking {
             input_period.unwrap_or(0) as usize
         } else {
@@ -1911,122 +1451,32 @@ mod tests {
     }
 
     #[test]
-    fn forced_strategies_agree_bitwise_and_stats_account_steps() {
+    fn set_dispatch_is_inert_and_stats_account_every_step() {
         let cfg = EvalConfig::new(real_rate(), 7);
         let imgs: [[f32; 2]; 2] = [[0.9, 0.0], [0.0, 0.6]];
         let refs: Vec<&[f32]> = imgs.iter().map(|i| i.as_slice()).collect();
         let mut pots = Vec::new();
-        for mode in [
-            DispatchMode::ForceDense,
-            DispatchMode::ForcePacked,
-            DispatchMode::Auto,
+        for dispatch in [
+            DispatchPolicy::default(),
+            DispatchPolicy {
+                packed_thresholds: vec![1.01; 2],
+                quant_thresholds: vec![1.01; 2],
+                quant_eligible: vec![true; 2],
+                ..DispatchPolicy::default()
+            },
         ] {
             let mut engine = BatchedNetwork::new(tiny_network(0.25), 2).unwrap();
-            engine.set_dispatch(DispatchPolicy::forced(mode));
-            assert_eq!(engine.dispatch().mode, mode);
+            engine.set_dispatch(dispatch);
             let mut run = BatchedStepwiseInference::new(&mut engine, &refs, &cfg).unwrap();
             while run.advance().unwrap() {}
             pots.push((0..2).map(|l| run.output_potentials(l)).collect::<Vec<_>>());
-            // Every (stage, step) is accounted to exactly one bucket.
+            // Every (stage, step) ran the kernel or replayed the cache.
             for st in engine.dispatch_stats() {
-                assert_eq!(
-                    st.dense_steps + st.packed_steps + st.quant_steps + st.cached_steps,
-                    7
-                );
+                assert_eq!(st.dense_steps + st.cached_steps, 7);
                 assert!(st.mean_density() >= 0.0 && st.mean_density() <= 1.0);
             }
-            let stats = engine.dispatch_stats();
-            assert!(
-                stats.iter().all(|s| s.quant_steps == 0),
-                "gate off by default"
-            );
-            match mode {
-                DispatchMode::ForceDense => assert!(stats.iter().all(|s| s.packed_steps == 0)),
-                DispatchMode::ForcePacked => assert!(stats.iter().all(|s| s.dense_steps == 0)),
-                DispatchMode::ForceQuantized | DispatchMode::Auto => {}
-            }
         }
-        assert_eq!(pots[0], pots[1], "packed vs dense bit drift");
-        assert_eq!(pots[0], pots[2], "auto vs dense bit drift");
-    }
-
-    #[test]
-    fn lockstep_wider_than_the_mask_plane_runs_dense_under_every_mode() {
-        // 65 lanes do not fit a u64 lane mask, so the packed and int8
-        // kernels cannot run: every mode, and Auto with crossovers that
-        // would pick them on every step, must fall back to dense.
-        const WIDE: usize = 65;
-        let cfg = EvalConfig::new(real_rate(), 7);
-        let imgs: Vec<[f32; 2]> = (0..WIDE)
-            .map(|l| [(l % 7) as f32 / 6.0, ((l * 3) % 5) as f32 / 4.0])
-            .collect();
-        let refs: Vec<&[f32]> = imgs.iter().map(|i| i.as_slice()).collect();
-        let run_under = |dispatch: DispatchPolicy| {
-            let mut engine = BatchedNetwork::new(tiny_network(0.25), WIDE).unwrap();
-            engine.set_dispatch(dispatch);
-            let mut run = BatchedStepwiseInference::new(&mut engine, &refs, &cfg).unwrap();
-            assert_eq!(run.batch(), WIDE);
-            while run.advance().unwrap() {}
-            let pots: Vec<Vec<f32>> = (0..WIDE).map(|l| run.output_potentials(l)).collect();
-            (pots, engine.dispatch_stats().to_vec())
-        };
-        let (dense, _) = run_under(DispatchPolicy::forced(DispatchMode::ForceDense));
-        assert!(
-            dense.iter().any(|p| p.iter().any(|&v| v != 0.0)),
-            "no spikes"
-        );
-        let auto_everything = DispatchPolicy {
-            mode: DispatchMode::Auto,
-            packed_thresholds: vec![1.01; 2],
-            quant_thresholds: vec![1.01; 2],
-            quant_eligible: vec![true; 2],
-            ..DispatchPolicy::default()
-        };
-        for dispatch in [
-            DispatchPolicy::forced(DispatchMode::ForcePacked),
-            DispatchPolicy::forced(DispatchMode::ForceQuantized),
-            auto_everything,
-        ] {
-            let mode = dispatch.mode;
-            let (pots, stats) = run_under(dispatch);
-            for (lane, (got, want)) in pots.iter().zip(&dense).enumerate() {
-                let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(got), bits(want), "{mode:?}: lane {lane}");
-            }
-            for st in &stats {
-                assert_eq!(st.dense_steps + st.cached_steps, 7, "{mode:?}: {st:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn forced_quantized_runs_int8_and_stays_close() {
-        let cfg = EvalConfig::new(real_rate(), 7);
-        let imgs: [[f32; 2]; 2] = [[0.9, 0.0], [0.0, 0.6]];
-        let refs: Vec<&[f32]> = imgs.iter().map(|i| i.as_slice()).collect();
-        let mut dense = BatchedNetwork::new(tiny_network(0.25), 2).unwrap();
-        let mut run = BatchedStepwiseInference::new(&mut dense, &refs, &cfg).unwrap();
-        while run.advance().unwrap() {}
-        let expected: Vec<Vec<f32>> = (0..2).map(|l| run.output_potentials(l)).collect();
-        let mut engine = BatchedNetwork::new(tiny_network(0.25), 2).unwrap();
-        assert!(engine.quantized().iter().all(Option::is_some));
-        engine.set_dispatch(DispatchPolicy::forced(DispatchMode::ForceQuantized));
-        let mut run = BatchedStepwiseInference::new(&mut engine, &refs, &cfg).unwrap();
-        while run.advance().unwrap() {}
-        // Identity weights round-trip through scale 1/127 with only
-        // rounding-level error, so potentials stay close but need not
-        // be bit-identical.
-        for (lane, want) in expected.iter().enumerate() {
-            let got = run.output_potentials(lane);
-            for (g, w) in got.iter().zip(want) {
-                assert!((g - w).abs() <= 1e-3, "lane {lane}: {g} vs {w}");
-            }
-        }
-        // Dense stages all have tables, so every step runs the int8 kernel.
-        for st in engine.dispatch_stats() {
-            assert_eq!(st.quant_steps + st.cached_steps, 7);
-            assert_eq!(st.dense_steps + st.packed_steps, 0);
-        }
+        assert_eq!(pots[0], pots[1], "an ignored policy changed results");
     }
 
     #[test]
@@ -2056,13 +1506,16 @@ mod tests {
             assert_eq!(st.total_steps(), 7, "every (stage, step) accounted");
             assert!(st.mean_density >= 0.0 && st.mean_density <= 1.0);
         }
-        // The profile's strategy mix mirrors the engine's dispatch stats.
+        // The profile mirrors the engine's step counters: each step ran
+        // the dense kernel or replayed the cache, and the inert counters
+        // of the removed kernels stay 0.
         for (st, ds) in snap.stages.iter().zip(engine.dispatch_stats()) {
             assert_eq!(st.dense_steps, ds.dense_steps);
-            assert_eq!(st.sparse_steps, 0);
-            assert_eq!(st.packed_steps, ds.packed_steps);
-            assert_eq!(st.quant_steps, ds.quant_steps);
             assert_eq!(st.cached_steps, ds.cached_steps);
+            assert_eq!(st.dense_steps + st.cached_steps, snap.steps);
+            assert_eq!(st.sparse_steps, 0);
+            assert_eq!(st.packed_steps, 0);
+            assert_eq!(st.quant_steps, 0);
         }
         sink.reset();
         let zero = sink.snapshot();

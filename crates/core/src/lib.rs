@@ -69,7 +69,6 @@ pub mod encoder;
 pub mod error;
 pub mod layer;
 pub mod network;
-pub mod quant;
 pub mod recorder;
 pub mod simulator;
 pub mod snapshot;
@@ -86,7 +85,6 @@ pub use encoder::InputEncoder;
 pub use error::SnnError;
 pub use layer::{ResetMode, SpikingLayer, ThresholdPolicy};
 pub use network::SpikingNetwork;
-pub use quant::{QuantScratch, QuantizedDense};
 pub use recorder::{NeuronId, RecordLevel, SpikeRecord, SpikeTrainRec};
 pub use simulator::{
     evaluate_dataset, evaluate_dataset_batched, evaluate_dataset_parallel, infer_image, EvalConfig,

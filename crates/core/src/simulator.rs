@@ -443,7 +443,6 @@ fn eval_range(
     lo: usize,
     hi: usize,
     batch: usize,
-    dispatch: &DispatchPolicy,
 ) -> Result<PartialSums, SnnError> {
     let mut correct = vec![0usize; cfg.checkpoints.len()];
     let mut spikes = vec![0u64; cfg.checkpoints.len()];
@@ -473,7 +472,6 @@ fn eval_range(
     // with dead lanes instead of the slower dynamic dense path.
     let mut engine =
         BatchedNetwork::new(net.clone(), crate::batch::padded_width(batch.min(hi - lo)))?;
-    engine.set_dispatch(dispatch.clone());
     let mut start = lo;
     while start < hi {
         let width = batch.min(hi - start);
@@ -513,16 +511,18 @@ fn eval_range(
 /// independent).
 ///
 /// `threads <= 1` evaluates on the calling thread; `batch <= 1` runs
-/// the lockstep engine at width 1 (which slightly beats the scalar
-/// loop — and is exactly what the autotuner's width-1 probe measures).
+/// the lockstep engine at width 1, which is what the autotuner's
+/// width-1 probe measures. Width 1 is slower than the scalar loop:
+/// three `exp_bench_record --quick` runs on a 2-vCPU x86-64 host put
+/// it at 0.72–0.83× the scalar loop's lane-steps/s on the MLP workload
+/// and 0.54–0.90× on `vgg_tiny`.
 /// Ragged widths — a non-{1, 2, 4, 8, 16} `batch`, or the tail chunk of
 /// a shard — are padded to the next fixed lane width with dead lanes
 /// ([`BatchedStepwiseInference::new_padded`]), which beats the dynamic
 /// dense path those widths would otherwise take; results are unchanged.
 /// The best `batch` is model-dependent — measure it with
 /// [`crate::autotune::autotune_batch`] rather than hardcoding (conv
-/// nets want 8–16, small dense nets historically wanted 1; with density
-/// dispatch they win at wide batches too).
+/// nets want 8–16).
 ///
 /// # Errors
 ///
@@ -534,35 +534,6 @@ pub fn evaluate_dataset_batched(
     threads: usize,
     batch: usize,
 ) -> Result<EvalResult, SnnError> {
-    evaluate_dataset_batched_with_dispatch(
-        net,
-        dataset,
-        cfg,
-        threads,
-        batch,
-        &DispatchPolicy::default(),
-    )
-}
-
-/// [`evaluate_dataset_batched`] with an explicit kernel-dispatch policy
-/// installed into every worker's engine — pass the model's calibrated
-/// [`crate::autotune::BatchPolicy::packed_thresholds`] (and int8
-/// crossovers and eligibility) so the packed/dense decision runs at the
-/// measured crossovers instead of the conservative default. The f32
-/// kernels never change results, only wall-clock; int8 stays within
-/// its accuracy gate.
-///
-/// # Errors
-///
-/// Propagates configuration and simulation errors from any worker.
-pub fn evaluate_dataset_batched_with_dispatch(
-    net: &SpikingNetwork,
-    dataset: &ImageDataset,
-    cfg: &EvalConfig,
-    threads: usize,
-    batch: usize,
-    dispatch: &DispatchPolicy,
-) -> Result<EvalResult, SnnError> {
     cfg.validate()?;
     let n_images = cfg
         .max_images
@@ -572,7 +543,7 @@ pub fn evaluate_dataset_batched_with_dispatch(
     }
     let threads = threads.clamp(1, n_images);
     let results: Vec<Result<PartialSums, SnnError>> = if threads == 1 {
-        vec![eval_range(net, dataset, cfg, 0, n_images, batch, dispatch)]
+        vec![eval_range(net, dataset, cfg, 0, n_images, batch)]
     } else {
         let chunk = n_images.div_ceil(threads);
         std::thread::scope(|scope| {
@@ -583,9 +554,7 @@ pub fn evaluate_dataset_batched_with_dispatch(
                 if lo >= hi {
                     break;
                 }
-                handles.push(
-                    scope.spawn(move || eval_range(net, dataset, cfg, lo, hi, batch, dispatch)),
-                );
+                handles.push(scope.spawn(move || eval_range(net, dataset, cfg, lo, hi, batch)));
             }
             handles
                 .into_iter()
@@ -621,6 +590,24 @@ pub fn evaluate_dataset_batched_with_dispatch(
         num_neurons: net.num_neurons(),
         layer_counts,
     })
+}
+
+/// Inert: [`evaluate_dataset_batched`], ignoring `dispatch` (the engine
+/// has one kernel). Kept so existing callers such as the `perfbench`
+/// harness still build.
+///
+/// # Errors
+///
+/// As [`evaluate_dataset_batched`].
+pub fn evaluate_dataset_batched_with_dispatch(
+    net: &SpikingNetwork,
+    dataset: &ImageDataset,
+    cfg: &EvalConfig,
+    threads: usize,
+    batch: usize,
+    _dispatch: &DispatchPolicy,
+) -> Result<EvalResult, SnnError> {
+    evaluate_dataset_batched(net, dataset, cfg, threads, batch)
 }
 
 /// Evaluates the network over (a prefix of) a dataset using `threads`

@@ -10,22 +10,19 @@
 //! Format version 2 added a [`SnapshotMeta`] block (the model's
 //! autotuned `preferred_batch` lockstep width) between the header and
 //! the network body, so deployment-time measurements travel with the
-//! weights; version 3 extends the block with per-stage density
-//! crossovers for an event-list kernel the engine no longer has (the
-//! field is still written and read, and ignored), version 4
-//! appends the packed/dense crossovers for the bit-plane kernels, and
-//! version 5 appends an FNV-1a 64 content checksum over the entire
-//! stream (magic through body) as an 8-byte little-endian trailer, so a
-//! torn or bit-flipped file is rejected with a typed
+//! weights. Versions 3, 4 and 6 extended the block with kernel-dispatch
+//! data for kernels the engine no longer has: per-stage crossovers of
+//! an event-list kernel (v3), of a bit-plane kernel (v4), and of an
+//! int8 kernel with its accuracy-gate verdicts and weight tables (v6).
+//! Readers still parse those blocks under the same length bounds (the
+//! checksum covers them too) and then discard them; writers emit them
+//! empty. Version 5 appended an FNV-1a 64 content checksum over the
+//! entire stream (magic through body) as an 8-byte little-endian
+//! trailer, so a torn or bit-flipped file is rejected with a typed
 //! [`SnapshotError::Checksum`] instead of whatever decode error the
-//! corruption happens to trip. Version 6 appends the quantized
-//! inference artifacts: per-stage quant/dense crossovers, the accuracy
-//! gate's eligibility verdicts, and the int8 weight tables themselves
-//! (codes + per-column scales), so a serving process installs the exact
-//! quantization that passed the gate instead of re-deriving it.
-//! Version-1 through version-5 streams still load (missing fields
-//! default, pre-v5 streams have no checksum verified). Writers emit
-//! version 6.
+//! corruption happens to trip. Version-1 through version-6 streams all
+//! load (a missing `preferred_batch` defaults to 0, pre-v5 streams have
+//! no checksum verified). Writers emit version 6.
 //!
 //! [`save_network_to_path`] writes through a temp file in the target
 //! directory and atomically renames it into place, so a directory
@@ -105,28 +102,6 @@ pub struct SnapshotMeta {
     /// (`0` = no preference recorded; see
     /// [`crate::autotune::autotune_batch`]).
     pub preferred_batch: u32,
-    /// The v3+ on-disk field of the removed sparse kernel's crossovers:
-    /// still written and read so the format stays v6, and ignored.
-    pub density_thresholds: Vec<f32>,
-    /// Calibrated packed/dense density crossovers for the bit-plane
-    /// kernels — one per hidden stage plus the output synapse, in stage
-    /// order (empty = none recorded; consumers fall back to
-    /// [`crate::batch::DEFAULT_PACKED_CROSSOVER`]).
-    pub packed_thresholds: Vec<f32>,
-    /// Calibrated quant/dense density crossovers for the int8 kernels,
-    /// same layout as `packed_thresholds` (empty = none recorded;
-    /// consumers fall back to
-    /// [`crate::batch::DEFAULT_QUANT_CROSSOVER`]).
-    pub quant_thresholds: Vec<f32>,
-    /// Per-stage accuracy-gate verdicts from
-    /// [`crate::autotune::autotune_batch`]: `true` means the stage may
-    /// quantize under `Auto` dispatch (empty = gate never ran, which
-    /// consumers treat as all-ineligible).
-    pub quant_eligible: Vec<bool>,
-    /// Int8 weight tables, one slot per dispatch stage (`None` for
-    /// stages with no quantizable weight matrix; empty = no tables
-    /// recorded, consumers re-derive from the f32 weights).
-    pub quant_tables: Vec<Option<crate::quant::QuantizedDense>>,
 }
 
 /// Errors from reading or writing a network snapshot.
@@ -216,8 +191,9 @@ fn read_f32<R: Read>(r: &mut R) -> io::Result<f32> {
 /// Largest weight or bias buffer a snapshot may declare, in elements.
 const MAX_BUFFER_LEN: usize = 1 << 28;
 
-/// Largest per-stage metadata list (crossovers, flags, int8 tables) a
-/// snapshot may declare: one entry per stage of at most 4096 layers.
+/// Largest per-stage metadata list (the discarded crossovers, flags and
+/// int8 tables) a snapshot may declare: one entry per stage of at most
+/// 4096 layers.
 const MAX_STAGE_COUNT: usize = 4097;
 
 /// Largest up-front reservation a declared length may trigger, in
@@ -244,73 +220,41 @@ fn read_buffer<R: Read>(r: &mut R) -> Result<Vec<f32>, SnapshotError> {
     read_f32_vec(r, MAX_BUFFER_LEN, "buffer length")
 }
 
-fn write_bool_slice<W: Write>(w: &mut W, v: &[bool]) -> io::Result<()> {
-    write_u32(w, v.len() as u32)?;
-    for &b in v {
-        w.write_all(&[b as u8])?;
-    }
-    Ok(())
-}
-
-fn read_bool_vec<R: Read>(r: &mut R) -> Result<Vec<bool>, SnapshotError> {
+/// Reads the v6 int8-eligibility block (a length-prefixed list of 0/1
+/// bytes) and discards it.
+fn skip_bool_list<R: Read>(r: &mut R) -> Result<(), SnapshotError> {
     let len = read_u32(r)? as usize;
     if len > MAX_STAGE_COUNT {
         return Err(SnapshotError::Format(format!(
             "implausible flag count {len}"
         )));
     }
-    let mut out = Vec::with_capacity(len);
     for _ in 0..len {
         let mut b = [0u8; 1];
         r.read_exact(&mut b)?;
-        out.push(match b[0] {
-            0 => false,
-            1 => true,
-            tag => return Err(SnapshotError::Format(format!("unknown flag byte {tag}"))),
-        });
-    }
-    Ok(out)
-}
-
-fn write_quant_tables<W: Write>(
-    w: &mut W,
-    tables: &[Option<crate::quant::QuantizedDense>],
-) -> io::Result<()> {
-    write_u32(w, tables.len() as u32)?;
-    for slot in tables {
-        match slot {
-            None => w.write_all(&[0u8])?,
-            Some(qd) => {
-                w.write_all(&[1u8])?;
-                write_u32(w, qd.input_len() as u32)?;
-                write_u32(w, qd.output_len() as u32)?;
-                // i8 codes are raw two's-complement bytes.
-                let bytes: Vec<u8> = qd.codes().iter().map(|&c| c as u8).collect();
-                w.write_all(&bytes)?;
-                for &s in qd.scales() {
-                    write_f32(w, s)?;
-                }
-            }
+        if b[0] > 1 {
+            return Err(SnapshotError::Format(format!("unknown flag byte {}", b[0])));
         }
     }
     Ok(())
 }
 
-fn read_quant_tables<R: Read>(
-    r: &mut R,
-) -> Result<Vec<Option<crate::quant::QuantizedDense>>, SnapshotError> {
+/// Reads the v6 int8-table block and discards it: a count, then per
+/// stage a tag (0 = none, 1 = table) and for a table its `in × out`
+/// shape, `in · out` code bytes and `out` scales. The codes are skipped
+/// through a fixed buffer, so a declared shape never drives allocation.
+fn skip_quant_tables<R: Read>(r: &mut R) -> Result<(), SnapshotError> {
     let len = read_u32(r)? as usize;
     if len > MAX_STAGE_COUNT {
         return Err(SnapshotError::Format(format!(
             "implausible quant table count {len}"
         )));
     }
-    let mut out = Vec::new();
     for _ in 0..len {
         let mut tag = [0u8; 1];
         r.read_exact(&mut tag)?;
         match tag[0] {
-            0 => out.push(None),
+            0 => {}
             1 => {
                 let in_len = read_u32(r)? as usize;
                 let out_len = read_u32(r)? as usize;
@@ -320,26 +264,15 @@ fn read_quant_tables<R: Read>(
                         "implausible quant table shape {in_len}x{out_len}"
                     )));
                 }
-                // Grow with the bytes actually present: `read_to_end`
-                // at most doubles what has arrived.
-                let mut bytes = Vec::with_capacity(n.min(MAX_PREALLOC_BYTES));
-                r.by_ref().take(n as u64).read_to_end(&mut bytes)?;
-                if bytes.len() != n {
+                let bytes = (n + 4 * out_len) as u64;
+                if io::copy(&mut r.by_ref().take(bytes), &mut io::sink())? != bytes {
                     return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
                 }
-                let codes: Vec<i8> = bytes.into_iter().map(|b| b as i8).collect();
-                let mut scales = Vec::with_capacity(out_len.min(MAX_PREALLOC_BYTES / 4));
-                for _ in 0..out_len {
-                    scales.push(read_f32(r)?);
-                }
-                let qd = crate::quant::QuantizedDense::from_parts(in_len, out_len, codes, scales)
-                    .map_err(SnapshotError::Invalid)?;
-                out.push(Some(qd));
             }
             tag => return Err(SnapshotError::Format(format!("unknown quant tag {tag}"))),
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 fn write_geom<W: Write>(w: &mut W, g: &Conv2dGeometry) -> io::Result<()> {
@@ -495,7 +428,7 @@ pub fn save_network<W: Write>(net: &SpikingNetwork, writer: W) -> Result<(), Sna
     save_network_with_meta(net, SnapshotMeta::default(), writer)
 }
 
-/// Writes a network snapshot carrying `meta` (format version 5: the
+/// Writes a network snapshot carrying `meta` (format version 6: the
 /// stream ends with an FNV-1a 64 checksum over everything before it).
 ///
 /// # Errors
@@ -556,11 +489,11 @@ fn write_snapshot_body<W: Write>(
     writer.write_all(MAGIC)?;
     write_u32(&mut writer, VERSION)?;
     write_u32(&mut writer, meta.preferred_batch)?;
-    write_f32_slice(&mut writer, &meta.density_thresholds)?;
-    write_f32_slice(&mut writer, &meta.packed_thresholds)?;
-    write_f32_slice(&mut writer, &meta.quant_thresholds)?;
-    write_bool_slice(&mut writer, &meta.quant_eligible)?;
-    write_quant_tables(&mut writer, &meta.quant_tables)?;
+    // The v3–v6 dispatch blocks (density, packed and quant crossovers,
+    // int8 eligibility, int8 tables), each an empty list.
+    for _ in 0..5 {
+        write_u32(&mut writer, 0)?;
+    }
     write_u32(&mut writer, net.input_len() as u32)?;
     write_u32(&mut writer, net.layers().len() as u32)?;
     for layer in net.layers() {
@@ -606,13 +539,9 @@ pub fn load_network<R: Read>(reader: R) -> Result<SpikingNetwork, SnapshotError>
 
 /// Reads a network snapshot together with its [`SnapshotMeta`].
 /// Version-1 streams (which predate the metadata block) decode with
-/// default metadata; version-2 streams (which predate the density
-/// crossovers) decode with empty `density_thresholds`; version-3
-/// streams (which predate the bit-plane kernels) decode with empty
-/// `packed_thresholds`; version-4 streams (which predate the content
-/// checksum) decode without integrity verification; version-5 streams
-/// (which predate the quantized path) decode with empty quant
-/// thresholds, eligibility, and tables.
+/// default metadata; version-3, -4 and -6 dispatch blocks are parsed
+/// and discarded; version-4 and older streams (which predate the
+/// content checksum) decode without integrity verification.
 ///
 /// # Errors
 ///
@@ -632,34 +561,23 @@ pub fn load_network_with_meta<R: Read>(
     let version = read_u32(&mut reader)?;
     let meta = match version {
         1 => SnapshotMeta::default(),
-        2 => SnapshotMeta {
-            preferred_batch: read_u32(&mut reader)?,
-            ..SnapshotMeta::default()
-        },
-        3..=6 => {
-            let preferred_batch = read_u32(&mut reader)?;
-            let density_thresholds = read_f32_vec(&mut reader, MAX_STAGE_COUNT, "threshold count")?;
-            let packed_thresholds = if version >= 4 {
-                read_f32_vec(&mut reader, MAX_STAGE_COUNT, "packed threshold count")?
-            } else {
-                Vec::new()
+        2..=6 => {
+            let meta = SnapshotMeta {
+                preferred_batch: read_u32(&mut reader)?,
             };
-            let (quant_thresholds, quant_eligible, quant_tables) = if version >= 6 {
-                let th = read_f32_vec(&mut reader, MAX_STAGE_COUNT, "quant threshold count")?;
-                let el = read_bool_vec(&mut reader)?;
-                let tables = read_quant_tables(&mut reader)?;
-                (th, el, tables)
-            } else {
-                (Vec::new(), Vec::new(), Vec::new())
-            };
-            SnapshotMeta {
-                preferred_batch,
-                density_thresholds,
-                packed_thresholds,
-                quant_thresholds,
-                quant_eligible,
-                quant_tables,
+            // Dispatch blocks of removed kernels: parsed, then dropped.
+            if version >= 3 {
+                read_f32_vec(&mut reader, MAX_STAGE_COUNT, "threshold count")?;
             }
+            if version >= 4 {
+                read_f32_vec(&mut reader, MAX_STAGE_COUNT, "packed threshold count")?;
+            }
+            if version >= 6 {
+                read_f32_vec(&mut reader, MAX_STAGE_COUNT, "quant threshold count")?;
+                skip_bool_list(&mut reader)?;
+                skip_quant_tables(&mut reader)?;
+            }
+            meta
         }
         other => {
             return Err(SnapshotError::Format(format!(
@@ -777,32 +695,23 @@ mod tests {
             &net,
             SnapshotMeta {
                 preferred_batch: 16,
-                density_thresholds: vec![0.28125, 0.09375, 0.0],
-                packed_thresholds: vec![0.0625, 0.03125],
-                ..SnapshotMeta::default()
             },
             &mut buf,
         )
         .expect("save");
         let (_, meta) = load_network_with_meta(buf.as_slice()).expect("load");
         assert_eq!(meta.preferred_batch, 16);
-        assert_eq!(meta.density_thresholds, vec![0.28125, 0.09375, 0.0]);
-        assert_eq!(meta.packed_thresholds, vec![0.0625, 0.03125]);
-        assert!(meta.quant_thresholds.is_empty());
-        assert!(meta.quant_eligible.is_empty());
-        assert!(meta.quant_tables.is_empty());
         // A plain save carries no preference.
         let mut plain = Vec::new();
         save_network(&net, &mut plain).expect("save");
         let (_, meta) = load_network_with_meta(plain.as_slice()).expect("load");
         assert_eq!(meta, SnapshotMeta::default());
-        // The v6 header is magic + version + preferred_batch + two
-        // threshold blocks (count + values each) + three empty quant
-        // blocks (count each); the network body follows, and the stream
-        // ends with the 8-byte checksum trailer (stripped below —
-        // pre-v5 streams have no trailer).
-        let quant_block = 4 * 3;
-        let body = 16 + 4 * 3 + 4 + 4 * 2 + quant_block;
+        // The v6 header is magic + version + preferred_batch + five
+        // empty dispatch blocks (a zero count each); the network body
+        // follows, and the stream ends with the 8-byte checksum trailer
+        // (stripped below — pre-v5 streams have no trailer).
+        let body = 12 + 4 * 5;
+        assert!(buf[12..body].iter().all(|&b| b == 0));
         let buf = &buf[..buf.len() - 8];
         // A version-1 stream (no meta block at all) still loads, with
         // default metadata.
@@ -814,8 +723,8 @@ mod tests {
         assert_eq!(meta, SnapshotMeta::default());
         assert_eq!(restored.input_len(), net.input_len());
         assert_eq!(restored.num_neurons(), net.num_neurons());
-        // A version-2 stream (preferred_batch, no thresholds) loads with
-        // the preference and empty thresholds.
+        // A version-2 stream (preferred_batch, no dispatch blocks) loads
+        // with the preference.
         let mut v2 = Vec::new();
         v2.extend_from_slice(MAGIC);
         v2.extend_from_slice(&2u32.to_le_bytes());
@@ -823,10 +732,8 @@ mod tests {
         v2.extend_from_slice(&buf[body..]);
         let (restored, meta) = load_network_with_meta(v2.as_slice()).expect("load v2");
         assert_eq!(meta.preferred_batch, 8);
-        assert!(meta.density_thresholds.is_empty());
         assert_eq!(restored.num_neurons(), net.num_neurons());
-        // A version-3 stream (density crossovers, no packed block)
-        // loads with empty packed thresholds.
+        // A version-3 stream's density crossovers are read and dropped.
         let mut v3 = Vec::new();
         v3.extend_from_slice(MAGIC);
         v3.extend_from_slice(&3u32.to_le_bytes());
@@ -837,75 +744,26 @@ mod tests {
         v3.extend_from_slice(&buf[body..]);
         let (restored, meta) = load_network_with_meta(v3.as_slice()).expect("load v3");
         assert_eq!(meta.preferred_batch, 8);
-        assert_eq!(meta.density_thresholds, vec![0.25, 0.5]);
-        assert!(meta.packed_thresholds.is_empty());
         assert_eq!(restored.num_neurons(), net.num_neurons());
-        // A version-4 stream (pre-quant meta block, no checksum
-        // trailer) is the v6 bytes minus trailer and quant blocks with
+        // A version-4 stream (two crossover blocks, no checksum trailer)
+        // is the v6 bytes minus the trailer and the three v6 blocks with
         // the version rewritten — it loads without integrity
         // verification.
-        let mut v4 = buf[..body - quant_block].to_vec();
+        let mut v4 = buf[..body - 4 * 3].to_vec();
         v4.extend_from_slice(&buf[body..]);
         v4[4..8].copy_from_slice(&4u32.to_le_bytes());
         let (restored, meta) = load_network_with_meta(v4.as_slice()).expect("load v4");
         assert_eq!(meta.preferred_batch, 16);
-        assert_eq!(meta.packed_thresholds, vec![0.0625, 0.03125]);
-        assert!(meta.quant_tables.is_empty());
         assert_eq!(restored.num_neurons(), net.num_neurons());
         // A version-5 stream is the same bytes plus a recomputed
-        // checksum trailer — it loads with integrity verification and
-        // empty quant fields.
+        // checksum trailer — it loads with integrity verification.
         let mut v5 = v4.clone();
         v5[4..8].copy_from_slice(&5u32.to_le_bytes());
         let digest = fnv1a(&v5);
         v5.extend_from_slice(&digest.to_le_bytes());
         let (restored, meta) = load_network_with_meta(v5.as_slice()).expect("load v5");
         assert_eq!(meta.preferred_batch, 16);
-        assert!(meta.quant_thresholds.is_empty());
         assert_eq!(restored.num_neurons(), net.num_neurons());
-    }
-
-    #[test]
-    fn quant_artifacts_round_trip_through_v6() {
-        let (net, _, _) = sample_network(HiddenCoding::Burst);
-        // Derive real tables for every dispatch stage the way the
-        // batched engine does (None for conv/pool stages).
-        let mut tables: Vec<Option<crate::quant::QuantizedDense>> = net
-            .layers()
-            .iter()
-            .map(|l| match l.synapse() {
-                Synapse::Dense { weight } => crate::quant::QuantizedDense::from_weights(weight),
-                _ => None,
-            })
-            .collect();
-        tables.push(match net.output_synapse() {
-            Synapse::Dense { weight } => crate::quant::QuantizedDense::from_weights(weight),
-            _ => None,
-        });
-        assert!(
-            tables.iter().any(Option::is_some),
-            "vgg_tiny has dense stages"
-        );
-        let n = tables.len();
-        let meta = SnapshotMeta {
-            preferred_batch: 16,
-            density_thresholds: vec![0.25; n],
-            packed_thresholds: vec![0.125; n],
-            quant_thresholds: vec![0.0625; n],
-            quant_eligible: tables.iter().map(Option::is_some).collect(),
-            quant_tables: tables,
-        };
-        let mut buf = Vec::new();
-        save_network_with_meta(&net, meta.clone(), &mut buf).expect("save");
-        let (restored, got) = load_network_with_meta(buf.as_slice()).expect("load");
-        assert_eq!(got, meta, "quant meta must survive the round trip");
-        assert_eq!(restored.num_neurons(), net.num_neurons());
-        // A corrupted scale inside a quant table must be caught by the
-        // checksum or the table validator, never silently accepted.
-        let mut bad = buf.clone();
-        let at = buf.len() / 2;
-        bad[at] ^= 0x40;
-        assert!(load_network(bad.as_slice()).is_err());
     }
 
     #[test]
@@ -953,10 +811,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.bsnn");
         let (net, _, _) = sample_network(HiddenCoding::Rate);
-        let meta = SnapshotMeta {
-            preferred_batch: 4,
-            ..SnapshotMeta::default()
-        };
+        let meta = SnapshotMeta { preferred_batch: 4 };
         save_network_to_path(&net, meta, &path).expect("atomic save");
         let file = std::fs::File::open(&path).unwrap();
         let (restored, meta) = load_network_with_meta(file).expect("load");
@@ -1005,13 +860,10 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         write_u32(&mut buf, VERSION).unwrap();
-        write_u32(&mut buf, 0).unwrap(); // preferred batch
-        for _ in 0..3 {
-            // density, packed and quant crossovers
-            write_f32_slice(&mut buf, &[]).unwrap();
+        for _ in 0..6 {
+            // preferred batch, then the five empty dispatch blocks
+            write_u32(&mut buf, 0).unwrap();
         }
-        write_bool_slice(&mut buf, &[]).unwrap();
-        write_quant_tables(&mut buf, &[]).unwrap();
         write_u32(&mut buf, 16).unwrap(); // input length
         write_u32(&mut buf, 1).unwrap(); // hidden stages
         write_policy(&mut buf, &ThresholdPolicy::Fixed { vth: 0.5 }).unwrap();

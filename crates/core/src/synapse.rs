@@ -244,163 +244,6 @@ pub fn conv_instance() -> &'static str {
     }
 }
 
-/// Bit-plane of one spike row: bit `b` set iff `row[b] != 0.0`, for
-/// rows of up to 64 lanes. Four lanes per `movmskps` (the sign bits of
-/// the `!=`-compare mask), so the scan is branch-free and O(len/4) —
-/// cheap enough to run after every fire pass without perturbing the
-/// fire loop's own vectorization. NaN compares not-equal in both the
-/// vector and scalar paths, matching the scalar `!=`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-pub(crate) fn lane_mask(row: &[f32]) -> u64 {
-    use std::arch::x86_64::*;
-    let n = row.len();
-    debug_assert!(n <= 64);
-    let quads = n & !3;
-    let mut m = 0u64;
-    unsafe {
-        let zero = _mm_setzero_ps();
-        let mut b = 0;
-        while b < quads {
-            let ne = _mm_cmpneq_ps(_mm_loadu_ps(row.as_ptr().add(b)), zero);
-            m |= (_mm_movemask_ps(ne) as u64) << b;
-            b += 4;
-        }
-    }
-    for (b, &s) in row.iter().enumerate().skip(quads) {
-        m |= ((s != 0.0) as u64) << b;
-    }
-    m
-}
-
-/// Portable fallback: branch-free scalar fold.
-#[cfg(not(target_arch = "x86_64"))]
-#[inline(always)]
-pub(crate) fn lane_mask(row: &[f32]) -> u64 {
-    debug_assert!(row.len() <= 64);
-    row.iter()
-        .enumerate()
-        .fold(0u64, |m, (b, &s)| m | ((s != 0.0) as u64) << b)
-}
-
-/// Sentinel exponent-plane entry: the magnitude was not an exact
-/// `base · 2^k` and must be read from the raw-magnitude side channel.
-const RAW_EXP: u8 = 0;
-
-/// `2^(e − 127)` as `f32`, from a biased exponent byte in `1..=254`:
-/// the per-exponent multiplier of the packed replay, built by exponent
-/// manipulation alone (mantissa and sign bits zero).
-#[inline(always)]
-fn pow2_from_biased(e: u8) -> f32 {
-    f32::from_bits((e as u32) << 23)
-}
-
-/// The biased exponent byte `e` such that `base · 2^(e − 127)`
-/// reproduces `v` **bit-exactly**, if one exists.
-///
-/// Scaling by a power of two is exact in `f32` as long as the result
-/// stays in range, so the magnitude of a burst (`vth · g`, g a power of
-/// two) or phase (`vth · 2^−k`) spike compresses to one byte. The check
-/// is two-step: the quotient `v / base` must be a positive *normal*
-/// power of two (zero mantissa), and the reconstruction must round-trip
-/// to `v`'s exact bits — the second test rejects the subnormal and
-/// overflow edges where the division itself rounded. Zero, negative,
-/// and non-finite inputs all fail the quotient test (`RAW_EXP` is never
-/// a valid answer, so it can double as the sentinel).
-#[inline]
-pub(crate) fn pow2_exponent(v: f32, base: f32) -> Option<u8> {
-    let bits = (v / base).to_bits();
-    let exp = bits >> 23; // sign and exponent together: must be a
-                          // positive normal power of two
-    if bits & 0x007F_FFFF != 0 || exp == 0 || exp >= 255 {
-        return None;
-    }
-    let recon = base * pow2_from_biased(exp as u8);
-    (recon.to_bits() == v.to_bits()).then_some(exp as u8)
-}
-
-/// Rejects lockstep widths the packed kernels cannot run: a mask plane
-/// holds one bit per lane in a `u64`.
-fn check_plane_width(batch: usize) -> Result<(), SnnError> {
-    if batch == 0 || batch > 64 {
-        return Err(SnnError::InvalidConfig(format!(
-            "packed kernel lockstep width {batch} outside 1..=64"
-        )));
-    }
-    Ok(())
-}
-
-/// Whether `v` is a positive normal power of two — exactly the betas
-/// whose burst magnitudes `vth · βⁿ` stay on the exponent plane.
-pub(crate) fn is_exact_pow2(v: f32) -> bool {
-    let bits = v.to_bits();
-    bits & 0x007F_FFFF == 0 && matches!(bits >> 23, 1..=254)
-}
-
-/// One pass of the register-blocked packed replay: four lanes' PSP rows
-/// accumulate the same weight row at once, so each `wij` load feeds
-/// four independent FMA chains (>2 MAC/cycle; the single-row replay is
-/// load-bound at ~2). Each row's own accumulation chain is untouched —
-/// the blocking only interleaves *across* lanes — so results are
-/// bit-identical to four sequential single-row replays.
-#[inline(always)]
-fn fma_rows4(rows: [&mut [f32]; 4], weights: &[f32], mags: [f32; 4]) {
-    let n = weights.len();
-    let [p0, p1, p2, p3] = rows;
-    // Reslice every row to the weight length so the indexed loop
-    // carries no bounds checks and each row's stream vectorizes.
-    let (p0, p1, p2, p3) = (&mut p0[..n], &mut p1[..n], &mut p2[..n], &mut p3[..n]);
-    for j in 0..n {
-        let wij = weights[j];
-        p0[j] += mags[0] * wij;
-        p1[j] += mags[1] * wij;
-        p2[j] += mags[2] * wij;
-        p3[j] += mags[3] * wij;
-    }
-}
-
-/// Replays one active input neuron's decoded `(lane, magnitude)` events
-/// against its weight row: 4-blocked register FMAs for full quads, the
-/// single-row axpy for the tail. Shared by the self-packing and
-/// plane-fed packed kernels — both decode into the same `lane_of` /
-/// `mag_of` staging arrays, so their per-lane operation sequences are
-/// identical by construction.
-#[inline(always)]
-fn replay_packed_row(
-    psp_lanes: &mut [f32],
-    row: &[f32],
-    out: usize,
-    lane_of: &[usize; 64],
-    mag_of: &[f32; 64],
-    cnt: usize,
-) {
-    let mut c = 0usize;
-    while c + 4 <= cnt {
-        let rows = psp_lanes
-            .get_disjoint_mut([
-                lane_of[c] * out..(lane_of[c] + 1) * out,
-                lane_of[c + 1] * out..(lane_of[c + 1] + 1) * out,
-                lane_of[c + 2] * out..(lane_of[c + 2] + 1) * out,
-                lane_of[c + 3] * out..(lane_of[c + 3] + 1) * out,
-            ])
-            .expect("set-bit lanes ascend, so their PSP rows are disjoint");
-        fma_rows4(
-            rows,
-            row,
-            [mag_of[c], mag_of[c + 1], mag_of[c + 2], mag_of[c + 3]],
-        );
-        c += 4;
-    }
-    while c < cnt {
-        let s = mag_of[c];
-        let lane_psp = &mut psp_lanes[lane_of[c] * out..(lane_of[c] + 1) * out];
-        for (p, &wij) in lane_psp.iter_mut().zip(row) {
-            *p += s * wij;
-        }
-        c += 1;
-    }
-}
-
 /// Lane-elements per PSP block of the dense kernels (16 KiB of `f32`):
 /// stages whose `out × batch` PSP exceeds this are processed in
 /// L1-resident output chunks, so every active input's FMA hits a hot
@@ -785,392 +628,6 @@ impl Synapse {
         }
         Ok(())
     }
-
-    /// Bit-plane packed accumulation: the mask-driven sibling of
-    /// [`Self::accumulate_batch`] for spike-sparse batches of up to 64
-    /// lanes, whose cost scales with the events of each lane rather
-    /// than with the inputs live in any lane.
-    ///
-    /// `input` is the usual batch-innermost SoA buffer, but `psp_lanes`
-    /// is **lane-major** (`[lane][neuron]`, so lane `b`'s PSP row is the
-    /// contiguous slice `b * output_len()..`). The pack pass compresses
-    /// the staged spikes into bit-plane form — one `u64` activity mask
-    /// per input neuron (bit `b` set iff lane `b` spiked) plus a
-    /// per-event *exponent plane*: when `base` is the presynaptic
-    /// threshold `vth`, burst magnitudes `vth · g` and phase magnitudes
-    /// `vth · 2^−k` are exact powers of two times `base`, so each
-    /// event's magnitude compresses to one biased exponent byte
-    /// (magnitudes off the plane — or all of them, when `base` is
-    /// `None` — fall back to a raw-`f32` side channel, verified
-    /// bit-exactly at pack time). The replay then walks set bits with
-    /// trailing-zero scans and streams each active neuron's weight row
-    /// through a 4-lane register-blocked FMA (`fma_rows4`): the row is
-    /// loaded once per four lanes instead of once per event, which is
-    /// what lifts the replay past a single-row replay's ~2 MAC/cycle.
-    /// Reconstructing a magnitude as `base · 2^k` is exponent
-    /// manipulation only (`pow2_from_biased`) and bit-identical to the
-    /// original float product, and every lane sees its events in
-    /// ascending neuron order, so per-lane results match
-    /// [`Self::accumulate`] and the dense batch path bit for bit.
-    ///
-    /// The mask plane also makes the density probe a popcount:
-    /// [`KernelScratch::plane_events`] after this call.
-    ///
-    /// Conv/pool stages run a mask-driven scatter: set bits select the
-    /// live (pixel, lane) events directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::InvalidConfig`] for a zero batch or one
-    /// wider than the 64-bit mask plane, and
-    /// [`SnnError::InputSizeMismatch`] on length mismatches.
-    pub fn accumulate_batch_packed(
-        &self,
-        input: &[f32],
-        psp_lanes: &mut [f32],
-        batch: usize,
-        base: Option<f32>,
-        scratch: &mut KernelScratch,
-    ) -> Result<(), SnnError> {
-        check_plane_width(batch)?;
-        let weight = match self {
-            Synapse::Dense { weight } => weight,
-            Synapse::Conv { .. } | Synapse::Pool { .. } => {
-                // Self-pack: one `lane_mask` pass builds the activity
-                // plane, then the masked scatter replays raw staged
-                // magnitudes (conv/pool never compresses exponents —
-                // the scatter multiplies the raw float directly, so no
-                // exponent plane is needed).
-                scratch.active.clear();
-                scratch.exps.clear();
-                scratch.raws.clear();
-                scratch.masks.clear();
-                scratch
-                    .masks
-                    .extend(input.chunks_exact(batch).map(lane_mask));
-                return self.packed_convpool(input, psp_lanes, batch, &scratch.masks, None);
-            }
-        };
-        if input.len() != self.input_len() * batch {
-            return Err(SnnError::InputSizeMismatch {
-                expected: self.input_len() * batch,
-                actual: input.len(),
-            });
-        }
-        let out = weight.shape()[1];
-        if psp_lanes.len() != out * batch {
-            return Err(SnnError::InputSizeMismatch {
-                expected: out * batch,
-                actual: psp_lanes.len(),
-            });
-        }
-        let w = weight.as_slice();
-        // Pack: one pass over the SoA input builds the mask plane, the
-        // active-neuron list (ascending, so every lane sees its events
-        // in the same neuron order as the other strategies), and the
-        // exponent plane in set-bit order. The lane scan is the
-        // branch-free `movmskps` fold ([`lane_mask`]); per-event work
-        // runs only over set bits. Spike traffic repeats a handful of
-        // distinct magnitudes (one per step under phase coding, one
-        // per burst run length), so a one-entry memo on the
-        // magnitude's bits answers almost every exponent probe without
-        // re-running the division + round-trip verification.
-        scratch.masks.clear();
-        scratch.active.clear();
-        scratch.exps.clear();
-        scratch.raws.clear();
-        let mut memo_bits = 0u32; // unreachable: set bits exclude ±0
-        let mut memo_exp = RAW_EXP;
-        for (i, lanes) in input.chunks_exact(batch).enumerate() {
-            let m = lane_mask(lanes);
-            scratch.masks.push(m);
-            if m == 0 {
-                continue;
-            }
-            scratch.active.push(i as u32);
-            let mut mm = m;
-            while mm != 0 {
-                let b = mm.trailing_zeros() as usize;
-                mm &= mm - 1;
-                let s = lanes[b];
-                let bits = s.to_bits();
-                let e = if bits == memo_bits {
-                    memo_exp
-                } else {
-                    let e = base.and_then(|g| pow2_exponent(s, g)).unwrap_or(RAW_EXP);
-                    memo_bits = bits;
-                    memo_exp = e;
-                    e
-                };
-                scratch.exps.push(e);
-                if e == RAW_EXP {
-                    scratch.raws.push(s);
-                }
-            }
-        }
-        // Replay: per active neuron, decode that neuron's (lane,
-        // magnitude) events off the planes, then stream its weight row
-        // through 4-blocked row FMAs. Ascending lane order within a
-        // neuron plus ascending neuron order overall gives every lane
-        // the scalar path's exact operation sequence.
-        let g = base.unwrap_or(0.0); // read only under a non-RAW exponent
-        let mut e_idx = 0usize;
-        let mut r_idx = 0usize;
-        let mut lane_of = [0usize; 64];
-        let mut mag_of = [0.0f32; 64];
-        for &i in &scratch.active {
-            let i = i as usize;
-            let row = &w[i * out..(i + 1) * out];
-            let mut m = scratch.masks[i];
-            let mut cnt = 0usize;
-            while m != 0 {
-                let b = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let e = scratch.exps[e_idx];
-                e_idx += 1;
-                lane_of[cnt] = b;
-                mag_of[cnt] = if e == RAW_EXP {
-                    let v = scratch.raws[r_idx];
-                    r_idx += 1;
-                    v
-                } else {
-                    g * pow2_from_biased(e)
-                };
-                cnt += 1;
-            }
-            replay_packed_row(psp_lanes, row, out, &lane_of, &mag_of, cnt);
-        }
-        Ok(())
-    }
-
-    /// Plane-fed sibling of [`Self::accumulate_batch_packed`]: replays
-    /// bit-planes that were **built during staging** — by
-    /// `fire_lanes`, which already holds each lane's fire decision and
-    /// spike magnitude — so the kernel itself never rescans the input.
-    /// This is the packed strategy's hot path inside the lockstep
-    /// engine; the self-packing variant remains for stage 0 (whose
-    /// drive is staged lane-by-lane) and for direct callers.
-    ///
-    /// `masks[i]` has bit `b` set iff lane `b` of input neuron `i`
-    /// spiked this step. `uniform` is the step's single spike magnitude
-    /// when the presynaptic threshold policy is uniform across neurons
-    /// and lanes (fixed and phase policies) — the degenerate exponent
-    /// plane, one entry per step: when `base` is also known the
-    /// magnitude is re-derived through the biased-exponent
-    /// representation (`pow2_exponent` verifies the round trip, so
-    /// the reconstruction is bit-identical). With `uniform == None`
-    /// (burst-fed stages), each event's magnitude is read straight from
-    /// the staged input — bit-identical by definition.
-    ///
-    /// Conv/pool stages replay the same planes through the mask-driven
-    /// scatter (set bits select live (pixel, lane) events directly).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::InvalidConfig`] for a zero batch or one
-    /// wider than the 64-bit mask plane, and
-    /// [`SnnError::InputSizeMismatch`] on input/PSP/mask length
-    /// mismatches.
-    ///
-    /// # Panics
-    ///
-    /// May panic if a mask has a bit `>= batch` set — planes must be
-    /// built at the lockstep width they are replayed at.
-    pub fn accumulate_batch_packed_planes(
-        &self,
-        input: &[f32],
-        psp_lanes: &mut [f32],
-        batch: usize,
-        masks: &[u64],
-        uniform: Option<f32>,
-        base: Option<f32>,
-    ) -> Result<(), SnnError> {
-        check_plane_width(batch)?;
-        // One exponent-plane decode per step, not per event: reconstruct
-        // the uniform magnitude as `base · 2^k` when it sits on the
-        // plane (bit-identical — pow2_exponent verified the round
-        // trip), or carry it raw when it does not.
-        let mag = match (uniform, base) {
-            (Some(u), Some(g)) => Some(match pow2_exponent(u, g) {
-                Some(e) => g * pow2_from_biased(e),
-                None => u,
-            }),
-            (Some(u), None) => Some(u),
-            (None, _) => None,
-        };
-        let weight = match self {
-            Synapse::Dense { weight } => weight,
-            Synapse::Conv { .. } | Synapse::Pool { .. } => {
-                return self.packed_convpool(input, psp_lanes, batch, masks, mag);
-            }
-        };
-        if input.len() != self.input_len() * batch {
-            return Err(SnnError::InputSizeMismatch {
-                expected: self.input_len() * batch,
-                actual: input.len(),
-            });
-        }
-        if masks.len() != self.input_len() {
-            return Err(SnnError::InputSizeMismatch {
-                expected: self.input_len(),
-                actual: masks.len(),
-            });
-        }
-        let out = weight.shape()[1];
-        if psp_lanes.len() != out * batch {
-            return Err(SnnError::InputSizeMismatch {
-                expected: out * batch,
-                actual: psp_lanes.len(),
-            });
-        }
-        let w = weight.as_slice();
-        let mut lane_of = [0usize; 64];
-        let mut mag_of = [0.0f32; 64];
-        for (i, &m) in masks.iter().enumerate() {
-            if m == 0 {
-                continue;
-            }
-            let row = &w[i * out..(i + 1) * out];
-            let mut mm = m;
-            let mut cnt = 0usize;
-            match mag {
-                Some(u) => {
-                    while mm != 0 {
-                        let b = mm.trailing_zeros() as usize;
-                        mm &= mm - 1;
-                        lane_of[cnt] = b;
-                        mag_of[cnt] = u;
-                        cnt += 1;
-                    }
-                }
-                None => {
-                    while mm != 0 {
-                        let b = mm.trailing_zeros() as usize;
-                        mm &= mm - 1;
-                        lane_of[cnt] = b;
-                        mag_of[cnt] = input[i * batch + b];
-                        cnt += 1;
-                    }
-                }
-            }
-            replay_packed_row(psp_lanes, row, out, &lane_of, &mag_of, cnt);
-        }
-        Ok(())
-    }
-
-    /// Mask-plane staging for conv/pool stages: walks the input pixels
-    /// in ascending order, skips dead masks, and scatters each live
-    /// (pixel, lane) event through the hoisted kernel-range loops.
-    ///
-    /// Per lane, the visited pixels in ascending order are exactly the
-    /// lane's nonzero pixels in ascending order — the batch-1 scatter's
-    /// traversal — and the inner `ky → kx (→ co)` order is unchanged,
-    /// so every (lane, output) accumulator sees the batch-1 scatter's
-    /// exact operation sequence and results stay bit-identical.
-    ///
-    /// `mag` is the step's single decoded magnitude when the
-    /// presynaptic drive is uniform (`None` reads each event's
-    /// magnitude off the staged input).
-    fn packed_convpool(
-        &self,
-        input: &[f32],
-        psp_lanes: &mut [f32],
-        batch: usize,
-        masks: &[u64],
-        mag: Option<f32>,
-    ) -> Result<(), SnnError> {
-        debug_assert!((1..=64).contains(&batch));
-        if input.len() != self.input_len() * batch {
-            return Err(SnnError::InputSizeMismatch {
-                expected: self.input_len() * batch,
-                actual: input.len(),
-            });
-        }
-        if masks.len() != self.input_len() {
-            return Err(SnnError::InputSizeMismatch {
-                expected: self.input_len(),
-                actual: masks.len(),
-            });
-        }
-        let out_len = self.output_len();
-        if psp_lanes.len() != out_len * batch {
-            return Err(SnnError::InputSizeMismatch {
-                expected: out_len * batch,
-                actual: psp_lanes.len(),
-            });
-        }
-        match self {
-            Synapse::Conv {
-                weight,
-                geom,
-                in_shape,
-                out_shape,
-            } => {
-                let plan = ScatterPlan {
-                    w: weight.as_slice(),
-                    c_in: in_shape.c,
-                    c_out: weight.shape()[0],
-                    geom,
-                    ih: in_shape.h,
-                    iw: in_shape.w,
-                    oh: out_shape.h,
-                    ow: out_shape.w,
-                };
-                conv_scatter_masked(batch, input, psp_lanes, out_len, &plan, masks, mag);
-            }
-            Synapse::Pool {
-                geom,
-                in_shape,
-                out_shape,
-                scale,
-            } => {
-                let unit = *scale / (geom.kernel_h * geom.kernel_w) as f32;
-                let plan = ScatterPlan {
-                    w: std::slice::from_ref(&unit),
-                    c_in: in_shape.c,
-                    c_out: 1,
-                    geom,
-                    ih: in_shape.h,
-                    iw: in_shape.w,
-                    oh: out_shape.h,
-                    ow: out_shape.w,
-                };
-                pool_scatter_masked(batch, input, psp_lanes, out_len, &plan, masks, mag);
-            }
-            Synapse::Dense { .. } => {
-                unreachable!("dense stages use the row-replay packed kernel")
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Reusable buffers of the self-packing bit-plane kernel
-/// ([`Synapse::accumulate_batch_packed`]): the mask and exponent planes
-/// of its pack pass. Hold one per engine — capacity is retained across
-/// calls, so repeated stepping allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct KernelScratch {
-    /// Packed pass: per-input-neuron lane activity masks (bit `b` set
-    /// iff lane `b` spiked).
-    masks: Vec<u64>,
-    /// Packed pass: input neurons with a nonzero mask, ascending.
-    active: Vec<u32>,
-    /// Packed pass: per-event biased exponents in (active neuron,
-    /// set bit) order; [`RAW_EXP`] defers to the next `raws` entry.
-    exps: Vec<u8>,
-    /// Packed pass: magnitudes that fell off the exponent plane.
-    raws: Vec<f32>,
-}
-
-impl KernelScratch {
-    /// Total events of the last packed pack pass — one popcount per
-    /// mask word, the bit plane's free density probe. Meaningful only
-    /// directly after a successful self-packing
-    /// [`Synapse::accumulate_batch_packed`] call.
-    pub fn plane_events(&self) -> u64 {
-        self.masks.iter().map(|m| m.count_ones() as u64).sum()
-    }
 }
 
 /// Shared geometry/weight context of the conv and pool scatter kernels.
@@ -1521,147 +978,6 @@ fn pool_scatter<L: LaneFma>(batch: usize, input: &[f32], psp: &mut [f32], plan: 
     }
 }
 
-/// Decode one pixel's mask into `(lane, magnitude)` event arrays: set
-/// bits in ascending lane order, magnitudes either the step's uniform
-/// decode or read off the staged SoA input.
-#[inline(always)]
-fn decode_mask_events(
-    input: &[f32],
-    batch: usize,
-    i: usize,
-    mut mm: u64,
-    mag: Option<f32>,
-    lane_of: &mut [usize; 64],
-    mag_of: &mut [f32; 64],
-) -> usize {
-    let mut cnt = 0usize;
-    match mag {
-        Some(u) => {
-            while mm != 0 {
-                let b = mm.trailing_zeros() as usize;
-                mm &= mm - 1;
-                lane_of[cnt] = b;
-                mag_of[cnt] = u;
-                cnt += 1;
-            }
-        }
-        None => {
-            while mm != 0 {
-                let b = mm.trailing_zeros() as usize;
-                mm &= mm - 1;
-                lane_of[cnt] = b;
-                mag_of[cnt] = input[i * batch + b];
-                cnt += 1;
-            }
-        }
-    }
-    cnt
-}
-
-/// Mask-driven sibling of [`conv_scatter`]: events come off the bit
-/// plane, and `psp_lanes` is lane-major. The kernel weight is loaded
-/// once per window position and scattered to every live lane; per
-/// (lane, output) accumulator the contribution order equals the batch-1
-/// scatter's (ascending pixel, then `ky → kx → co`), so results are
-/// bit-identical to it.
-fn conv_scatter_masked(
-    batch: usize,
-    input: &[f32],
-    psp_lanes: &mut [f32],
-    out_len: usize,
-    plan: &ScatterPlan<'_>,
-    masks: &[u64],
-    mag: Option<f32>,
-) {
-    let (kh, kw) = (plan.geom.kernel_h, plan.geom.kernel_w);
-    let (stride_h, stride_w) = (plan.geom.stride_h.max(1), plan.geom.stride_w.max(1));
-    let (pad_h, pad_w) = (plan.geom.pad_h, plan.geom.pad_w);
-    let (ih, iw, oh, ow) = (plan.ih, plan.iw, plan.oh, plan.ow);
-    let mut lane_of = [0usize; 64];
-    let mut mag_of = [0.0f32; 64];
-    for ci in 0..plan.c_in {
-        for iy in 0..ih {
-            let Some((ky_first, ky_last)) = valid_kernel_range(iy, pad_h, stride_h, kh, oh) else {
-                continue;
-            };
-            for ix in 0..iw {
-                let i = (ci * ih + iy) * iw + ix;
-                let m = masks[i];
-                if m == 0 {
-                    continue;
-                }
-                let Some((kx_first, kx_last)) = valid_kernel_range(ix, pad_w, stride_w, kw, ow)
-                else {
-                    continue;
-                };
-                let cnt = decode_mask_events(input, batch, i, m, mag, &mut lane_of, &mut mag_of);
-                for ky in (ky_first..=ky_last).step_by(stride_h) {
-                    let oy = (iy + pad_h - ky) / stride_h;
-                    for kx in (kx_first..=kx_last).step_by(stride_w) {
-                        let ox = (ix + pad_w - kx) / stride_w;
-                        for co in 0..plan.c_out {
-                            let wv = plan.w[((co * plan.c_in + ci) * kh + ky) * kw + kx];
-                            let o = (co * oh + oy) * ow + ox;
-                            for (&b, &s) in lane_of[..cnt].iter().zip(&mag_of[..cnt]) {
-                                psp_lanes[b * out_len + o] += s * wv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Mask-driven sibling of [`pool_scatter`]: depthwise traversal with the
-/// precomputed unit weight, events off the bit plane, lane-major PSP.
-fn pool_scatter_masked(
-    batch: usize,
-    input: &[f32],
-    psp_lanes: &mut [f32],
-    out_len: usize,
-    plan: &ScatterPlan<'_>,
-    masks: &[u64],
-    mag: Option<f32>,
-) {
-    let (kh, kw) = (plan.geom.kernel_h, plan.geom.kernel_w);
-    let (stride_h, stride_w) = (plan.geom.stride_h.max(1), plan.geom.stride_w.max(1));
-    let (pad_h, pad_w) = (plan.geom.pad_h, plan.geom.pad_w);
-    let (ih, iw, oh, ow) = (plan.ih, plan.iw, plan.oh, plan.ow);
-    let unit = plan.w[0];
-    let mut lane_of = [0usize; 64];
-    let mut mag_of = [0.0f32; 64];
-    for ci in 0..plan.c_in {
-        for iy in 0..ih {
-            let Some((ky_first, ky_last)) = valid_kernel_range(iy, pad_h, stride_h, kh, oh) else {
-                continue;
-            };
-            for ix in 0..iw {
-                let i = (ci * ih + iy) * iw + ix;
-                let m = masks[i];
-                if m == 0 {
-                    continue;
-                }
-                let Some((kx_first, kx_last)) = valid_kernel_range(ix, pad_w, stride_w, kw, ow)
-                else {
-                    continue;
-                };
-                let cnt = decode_mask_events(input, batch, i, m, mag, &mut lane_of, &mut mag_of);
-                for ky in (ky_first..=ky_last).step_by(stride_h) {
-                    let oy = (iy + pad_h - ky) / stride_h;
-                    for kx in (kx_first..=kx_last).step_by(stride_w) {
-                        let ox = (ix + pad_w - kx) / stride_w;
-                        let o = (ci * oh + oy) * ow + ox;
-                        for (&b, &s) in lane_of[..cnt].iter().zip(&mag_of[..cnt]) {
-                            psp_lanes[b * out_len + o] += s * unit;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1889,6 +1205,10 @@ mod tests {
             vec![1.0, 1.0, 0.0, 0.5, 0.0, 0.125],
         ];
         batch_matches_scalar(&syn, &inputs);
+        let syn = Synapse::Dense {
+            weight: uniform(&mut rng, &[24, 9], -1.0, 1.0),
+        };
+        density_sweep_matches_scalar(&mut rng, &syn);
     }
 
     /// The conv stages the lockstep conv tests sweep. `c_out` 5 leaves
@@ -1970,6 +1290,13 @@ mod tests {
                 batch_matches_scalar_from(&syn, &inputs, &start);
             }
         }
+        let syn = Synapse::Conv {
+            weight: uniform(&mut rng, &[3, 2, 3, 3], -1.0, 1.0),
+            geom: Conv2dGeometry::square(3, 1, 1),
+            in_shape: Chw::new(2, 4, 4),
+            out_shape: Chw::new(3, 4, 4),
+        };
+        density_sweep_matches_scalar(&mut rng, &syn);
     }
 
     /// `accumulate_batch` runs one conv instance per width and CPU, so
@@ -2033,6 +1360,7 @@ mod tests {
             .map(|_| uniform(&mut rng, &[32], 0.0, 1.0).as_slice().to_vec())
             .collect();
         batch_matches_scalar(&syn, &inputs);
+        density_sweep_matches_scalar(&mut rng, &syn);
     }
 
     /// Images at a given per-pixel density, including fully silent lanes.
@@ -2051,6 +1379,18 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// Every lane of `syn`'s lockstep pass equals the scalar pass at
+    /// input densities {0, .1, .5, 1} and widths {1, 3, 4, 5, 16}, with
+    /// lane 0 silent throughout.
+    fn density_sweep_matches_scalar(rng: &mut StdRng, syn: &Synapse) {
+        for density in [0.0, 0.1, 0.5, 1.0] {
+            for batch in [1usize, 3, 4, 5, 16] {
+                let inputs = sparse_inputs(rng, batch, syn.input_len(), density);
+                batch_matches_scalar(syn, &inputs);
+            }
+        }
     }
 
     #[test]
@@ -2124,301 +1464,6 @@ mod tests {
         syn.accumulate(input.as_slice(), &mut psp).unwrap();
         for (a, b) in psp.iter().zip(reference.as_slice()) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    /// The packed bit-plane strategy (lane-major) and the dense lockstep
-    /// strategy (batch-innermost) must agree bitwise, lane for lane,
-    /// with the scalar path — packed with any `base` hint (right,
-    /// wrong, or absent).
-    fn packed_matches_scalar(syn: &Synapse, inputs: &[Vec<f32>], base: Option<f32>) {
-        let batch = inputs.len();
-        let out = syn.output_len();
-        let soa = to_soa(inputs);
-        let mut psp_dense = vec![0.0f32; out * batch];
-        syn.accumulate_batch(&soa, &mut psp_dense, batch).unwrap();
-        let mut psp_packed = vec![0.0f32; out * batch];
-        let mut scratch = KernelScratch::default();
-        syn.accumulate_batch_packed(&soa, &mut psp_packed, batch, base, &mut scratch)
-            .unwrap();
-        for (b, input) in inputs.iter().enumerate() {
-            let mut psp = vec![0.0f32; out];
-            syn.accumulate(input, &mut psp).unwrap();
-            for j in 0..out {
-                assert_eq!(
-                    psp[j].to_bits(),
-                    psp_packed[b * out + j].to_bits(),
-                    "packed lane {b} neuron {j} diverged from scalar (base {base:?})"
-                );
-                assert_eq!(
-                    psp[j].to_bits(),
-                    psp_dense[j * batch + b].to_bits(),
-                    "dense lane {b} neuron {j} diverged from scalar"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed_strategy_matches_scalar_bitwise_across_densities() {
-        let mut rng = StdRng::seed_from_u64(37);
-        let dense_syn = Synapse::Dense {
-            weight: uniform(&mut rng, &[24, 9], -1.0, 1.0),
-        };
-        let conv_syn = Synapse::Conv {
-            weight: uniform(&mut rng, &[3, 2, 3, 3], -1.0, 1.0),
-            geom: Conv2dGeometry::square(3, 1, 1),
-            in_shape: Chw::new(2, 4, 4),
-            out_shape: Chw::new(3, 4, 4),
-        };
-        let pool_syn = Synapse::Pool {
-            geom: Conv2dGeometry::square(2, 2, 0),
-            in_shape: Chw::new(2, 4, 4),
-            out_shape: Chw::new(2, 2, 2),
-            scale: 1.3,
-        };
-        // Arbitrary float magnitudes: every event takes the raw side
-        // channel under any base, including a base the magnitudes do
-        // not match (the bit-exact round-trip check must reject it).
-        for density in [0.0, 0.1, 0.5, 1.0] {
-            for batch in [1usize, 3, 4, 5, 16] {
-                for base in [None, Some(1.7)] {
-                    let inputs = sparse_inputs(&mut rng, batch, 24, density);
-                    packed_matches_scalar(&dense_syn, &inputs, base);
-                    let inputs = sparse_inputs(&mut rng, batch, 32, density);
-                    packed_matches_scalar(&conv_syn, &inputs, base);
-                    let inputs = sparse_inputs(&mut rng, batch, 32, density);
-                    packed_matches_scalar(&pool_syn, &inputs, base);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_exponent_plane_carries_pow2_magnitudes() {
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(41);
-        let weight = uniform(&mut rng, &[24, 9], -1.0, 1.0);
-        let syn = Synapse::Dense { weight };
-        // Phase/burst-shaped magnitudes: base · 2^k, k ∈ [−8, 8].
-        for base in [1.0f32, 0.5, 1.7, 0.125] {
-            let batch = 16usize;
-            let inputs: Vec<Vec<f32>> = (0..batch)
-                .map(|_| {
-                    (0..24)
-                        .map(|_| {
-                            if rng.gen_range(0.0..1.0f32) < 0.3 {
-                                base * 2.0f32.powi(rng.gen_range(-8..=8))
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            packed_matches_scalar(&syn, &inputs, Some(base));
-            // Every event must have landed on the exponent plane — the
-            // raw side channel stays empty.
-            let soa = to_soa(&inputs);
-            let mut psp = vec![0.0f32; 9 * batch];
-            let mut scratch = KernelScratch::default();
-            syn.accumulate_batch_packed(&soa, &mut psp, batch, Some(base), &mut scratch)
-                .unwrap();
-            assert!(
-                scratch.raws.is_empty(),
-                "pow2 magnitudes fell off the exponent plane (base {base})"
-            );
-            let events = soa.iter().filter(|&&v| v != 0.0).count() as u64;
-            assert_eq!(
-                scratch.plane_events(),
-                events,
-                "popcount probe (base {base})"
-            );
-        }
-    }
-
-    /// The plane-fed replay must agree bitwise with the scalar path
-    /// when handed externally built masks, with or without a uniform
-    /// magnitude and with any base hint.
-    fn packed_planes_match_scalar(
-        syn: &Synapse,
-        inputs: &[Vec<f32>],
-        uniform: Option<f32>,
-        base: Option<f32>,
-    ) {
-        let batch = inputs.len();
-        let out = syn.output_len();
-        let soa = to_soa(inputs);
-        let masks: Vec<u64> = soa
-            .chunks_exact(batch)
-            .map(|lanes| {
-                lanes
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |m, (b, &s)| m | ((s != 0.0) as u64) << b)
-            })
-            .collect();
-        let mut psp_packed = vec![0.0f32; out * batch];
-        syn.accumulate_batch_packed_planes(&soa, &mut psp_packed, batch, &masks, uniform, base)
-            .unwrap();
-        for (b, input) in inputs.iter().enumerate() {
-            let mut psp = vec![0.0f32; out];
-            syn.accumulate(input, &mut psp).unwrap();
-            for j in 0..out {
-                assert_eq!(
-                    psp[j].to_bits(),
-                    psp_packed[b * out + j].to_bits(),
-                    "plane replay lane {b} neuron {j} diverged (uniform {uniform:?} base {base:?})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed_plane_replay_matches_scalar_bitwise() {
-        let mut rng = StdRng::seed_from_u64(43);
-        let syn = Synapse::Dense {
-            weight: uniform(&mut rng, &[24, 9], -1.0, 1.0),
-        };
-        // Burst-shaped traffic: per-event raw magnitudes read straight
-        // off the staged input (no uniform magnitude). Batch sizes
-        // cover the quad-blocked replay, its tail, and both together.
-        for density in [0.0, 0.1, 0.5, 1.0] {
-            for batch in [1usize, 3, 4, 5, 16, 64] {
-                let inputs = sparse_inputs(&mut rng, batch, 24, density);
-                packed_planes_match_scalar(&syn, &inputs, None, None);
-                packed_planes_match_scalar(&syn, &inputs, None, Some(0.4));
-            }
-        }
-        // Phase-shaped traffic: one magnitude per step, riding the
-        // one-entry exponent plane (base known) or carried raw (base
-        // absent or mismatched — the round-trip check must reject it).
-        for th in [0.4f32, 0.4 * 0.5, 0.4 * 0.0625] {
-            let inputs: Vec<Vec<f32>> = (0..16)
-                .map(|l| {
-                    (0..24)
-                        .map(|i| if (i + l) % 3 == 0 { th } else { 0.0 })
-                        .collect()
-                })
-                .collect();
-            packed_planes_match_scalar(&syn, &inputs, Some(th), Some(0.4));
-            packed_planes_match_scalar(&syn, &inputs, Some(th), Some(1.7));
-            packed_planes_match_scalar(&syn, &inputs, Some(th), None);
-        }
-        // Mask-length mismatch is a typed error, not a bad replay.
-        let mut psp = vec![0.0f32; 9];
-        let err = syn
-            .accumulate_batch_packed_planes(&[0.0; 24], &mut psp, 1, &[0u64; 7], None, None)
-            .unwrap_err();
-        assert!(matches!(err, SnnError::InputSizeMismatch { .. }));
-    }
-
-    #[test]
-    fn pow2_exponent_reconstruction_is_bit_identical() {
-        // Exactly representable products round-trip with the right
-        // biased exponent; the reconstruction is bit-identical to the
-        // float multiply by construction of the check.
-        for base in [1.0f32, 0.5, 1.7, 0.3, 0.125] {
-            for k in -40..=40i32 {
-                let v = base * 2.0f32.powi(k);
-                let e = pow2_exponent(v, base).expect("normal-range pow2 product");
-                assert_eq!(e as i32, k + 127);
-                assert_eq!((base * pow2_from_biased(e)).to_bits(), v.to_bits());
-            }
-        }
-        // Soundness under fuzz: whenever Some, reconstruction is exact.
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(43);
-        for _ in 0..10_000 {
-            let v = f32::from_bits(rng.gen::<u32>());
-            let base = f32::from_bits(rng.gen::<u32>());
-            if let Some(e) = pow2_exponent(v, base) {
-                assert_ne!(e, RAW_EXP);
-                assert_eq!((base * pow2_from_biased(e)).to_bits(), v.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn pow2_exponent_rejects_zero_subnormal_and_overflow_edges() {
-        // Zero magnitude, zero base, sign flips, non-finite quotients.
-        assert_eq!(pow2_exponent(0.0, 1.0), None);
-        assert_eq!(pow2_exponent(1.0, 0.0), None);
-        assert_eq!(pow2_exponent(-2.0, 1.0), None);
-        assert_eq!(pow2_exponent(2.0, -1.0), None);
-        assert_eq!(pow2_exponent(f32::NAN, 1.0), None);
-        assert_eq!(pow2_exponent(f32::INFINITY, 1.0), None);
-        // Subnormal magnitude whose quotient is itself subnormal.
-        let tiny = f32::from_bits(3); // 3 · 2^−149
-        assert_eq!(pow2_exponent(tiny, 3.0), None);
-        // Subnormal magnitude with an odd mantissa cannot be base · 2^k
-        // for base = 1.5 without rounding; the round-trip must catch it.
-        let sub = f32::from_bits(7);
-        if let Some(e) = pow2_exponent(sub, 1.5) {
-            assert_eq!((1.5 * pow2_from_biased(e)).to_bits(), sub.to_bits());
-        }
-        // A subnormal that IS exactly base · 2^k stays on the plane.
-        let half_min = f32::MIN_POSITIVE / 2.0;
-        let e = pow2_exponent(half_min, f32::MIN_POSITIVE).expect("exact subnormal halving");
-        assert_eq!(
-            (f32::MIN_POSITIVE * pow2_from_biased(e)).to_bits(),
-            half_min.to_bits()
-        );
-        // Overflow: quotient infinite.
-        assert_eq!(pow2_exponent(f32::MAX, f32::MIN_POSITIVE), None);
-    }
-
-    #[test]
-    fn is_exact_pow2_classifies() {
-        for v in [1.0f32, 2.0, 0.5, 0.25, 2.0f32.powi(100), f32::MIN_POSITIVE] {
-            assert!(is_exact_pow2(v), "{v}");
-        }
-        for v in [
-            0.0f32,
-            -2.0,
-            3.0,
-            1.5,
-            f32::NAN,
-            f32::INFINITY,
-            f32::MIN_POSITIVE / 2.0,
-        ] {
-            assert!(!is_exact_pow2(v), "{v}");
-        }
-    }
-
-    #[test]
-    fn packed_rejects_bad_shapes() {
-        let syn = Synapse::Dense {
-            weight: Tensor::zeros(&[2, 3]),
-        };
-        let mut scratch = KernelScratch::default();
-        let mut psp = vec![0.0f32; 6];
-        assert!(syn
-            .accumulate_batch_packed(&[0.0; 4], &mut psp, 0, None, &mut scratch)
-            .is_err());
-        assert!(syn
-            .accumulate_batch_packed(&[0.0; 3], &mut psp, 2, None, &mut scratch)
-            .is_err());
-        let mut short = vec![0.0f32; 5];
-        assert!(syn
-            .accumulate_batch_packed(&[0.0; 4], &mut short, 2, None, &mut scratch)
-            .is_err());
-        assert!(syn
-            .accumulate_batch_packed(&[0.0; 4], &mut psp, 2, None, &mut scratch)
-            .is_ok());
-        // Zero lanes, or more lanes than the 64-bit mask plane holds, is
-        // a typed config error for both entry points — even with
-        // buffers sized for the width.
-        let (input, mut wide) = (vec![0.0f32; 2 * 65], vec![0.0f32; 3 * 65]);
-        for batch in [0usize, 65] {
-            let err = syn
-                .accumulate_batch_packed(&input, &mut wide, batch, None, &mut scratch)
-                .unwrap_err();
-            assert!(matches!(err, SnnError::InvalidConfig(_)), "width {batch}");
-            let err = syn
-                .accumulate_batch_packed_planes(&input, &mut wide, batch, &[0u64; 2], None, None)
-                .unwrap_err();
-            assert!(matches!(err, SnnError::InvalidConfig(_)), "width {batch}");
         }
     }
 }

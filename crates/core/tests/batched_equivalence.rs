@@ -1,9 +1,12 @@
 //! Batched-vs-sequential equivalence: a lockstep batch must be
 //! bit-identical, lane for lane, to running each image alone through
 //! `StepwiseInference` — across all three threshold policies, both reset
-//! modes, dense/conv/pool synapses, and batch sizes {1, 2, 7, 16}.
+//! modes, dense/conv/pool synapses, and batch sizes {1, 2, 7, 16}. A
+//! second input sweeps the share of active lanes in a 16-wide batch
+//! (silent lanes carry all-zero images) at two pixel densities, which
+//! walks every stage from zero input density to saturation.
 //!
-//! The second suite pins the lane-masking logic: a lane retired
+//! The retirement suite pins the lane-masking logic: a lane retired
 //! mid-batch must equal a solo run truncated at the same step, and its
 //! retirement must not perturb the surviving lanes.
 
@@ -142,13 +145,57 @@ fn assert_lane_matches(
     );
 }
 
-fn check_full_horizon(template: &SpikingNetwork, scheme: CodingScheme, steps: usize, seed: u64) {
+/// One batch of [`images`] per size in [`BATCH_SIZES`].
+fn random_batches(template: &SpikingNetwork, seed: u64) -> Vec<Vec<Vec<f32>>> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    BATCH_SIZES
+        .iter()
+        .map(|&batch| images(&mut rng, batch, template.input_len()))
+        .collect()
+}
+
+/// 16-lane batches whose first `active` lanes (0, 4, 8, 12, 16) carry
+/// random images at a per-pixel density of 0.15 or 0.8 and whose other
+/// lanes are all-zero.
+fn lane_activity_batches(template: &SpikingNetwork, seed: u64) -> Vec<Vec<Vec<f32>>> {
+    const WIDTH: usize = 16;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut batches = Vec::new();
+    for active in [0usize, 4, 8, 12, 16] {
+        for pixel_density in [0.15f32, 0.8] {
+            batches.push(
+                (0..WIDTH)
+                    .map(|lane| {
+                        (0..template.input_len())
+                            .map(|_| {
+                                if lane >= active || rng.gen_range(0.0..1.0f32) >= pixel_density {
+                                    0.0
+                                } else {
+                                    rng.gen_range(0.05..1.0f32)
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            );
+        }
+    }
+    batches
+}
+
+/// Runs each of `batches` in lockstep to the horizon on one engine and
+/// checks every lane bitwise against its solo run.
+fn check_full_horizon(
+    template: &SpikingNetwork,
+    scheme: CodingScheme,
+    steps: usize,
+    batches: &[Vec<Vec<f32>>],
+) {
     let cfg = EvalConfig::new(scheme, steps);
-    let max_batch = *BATCH_SIZES.iter().max().unwrap();
+    let max_batch = batches.iter().map(Vec::len).max().unwrap();
     let mut engine = BatchedNetwork::new(template.clone(), max_batch).unwrap();
-    for &batch in &BATCH_SIZES {
-        let imgs = images(&mut rng, batch, template.input_len());
+    for imgs in batches {
+        let batch = imgs.len();
         let refs: Vec<&[f32]> = imgs.iter().map(|i| i.as_slice()).collect();
         let mut run = BatchedStepwiseInference::new(&mut engine, &refs, &cfg).unwrap();
         while run.advance().unwrap() {}
@@ -176,9 +223,9 @@ fn lockstep_matches_sequential_all_policies_and_resets() {
             for scheme in schemes {
                 seed += 1;
                 let conv_net = conv_pool_network(policy, reset, seed);
-                check_full_horizon(&conv_net, scheme, 18, seed);
+                check_full_horizon(&conv_net, scheme, 18, &random_batches(&conv_net, seed));
                 let mlp = dense_network(policy, reset, seed);
-                check_full_horizon(&mlp, scheme, 24, seed);
+                check_full_horizon(&mlp, scheme, 24, &random_batches(&mlp, seed));
             }
         }
     }
@@ -192,7 +239,38 @@ fn ttfs_input_lockstep_matches_sequential() {
     };
     let net = dense_network(policy, ResetMode::Subtraction, 77);
     let scheme = CodingScheme::new(InputCoding::Ttfs, HiddenCoding::Burst);
-    check_full_horizon(&net, scheme, 24, 77);
+    check_full_horizon(&net, scheme, 24, &random_batches(&net, 77));
+}
+
+#[test]
+fn lane_activity_sweep_matches_sequential() {
+    let burst = ThresholdPolicy::Burst {
+        vth: 0.25,
+        beta: 2.0,
+    };
+    let fixed = ThresholdPolicy::Fixed { vth: 0.4 };
+    let phase_burst = CodingScheme::new(InputCoding::Phase, HiddenCoding::Burst);
+    let cases = [
+        (
+            conv_pool_network(burst, ResetMode::Subtraction, 71),
+            phase_burst,
+            710,
+        ),
+        (
+            conv_pool_network(burst, ResetMode::Subtraction, 72),
+            CodingScheme::new(InputCoding::Real, HiddenCoding::Rate),
+            720,
+        ),
+        (dense_network(fixed, ResetMode::Zero, 81), phase_burst, 810),
+        (
+            dense_network(fixed, ResetMode::Zero, 82),
+            CodingScheme::new(InputCoding::Rate, HiddenCoding::Phase),
+            820,
+        ),
+    ];
+    for (net, scheme, seed) in cases {
+        check_full_horizon(&net, scheme, 16, &lane_activity_batches(&net, seed));
+    }
 }
 
 /// Satellite property: lanes retired mid-batch equal solo runs

@@ -1,10 +1,14 @@
 //! Snapshot version compatibility matrix: every on-disk format version
 //! ever shipped (v1 through the current v6) must keep loading, each
-//! yielding the same network and exactly the metadata its era could
-//! record. The older streams are derived from a current one by byte
-//! surgery — stripping the blocks each version predates and rewriting
-//! the version word — which pins the wire layout itself, not just the
-//! writer/reader pair of this build.
+//! yielding the same network and the `preferred_batch` its era could
+//! record. The streams are built by byte surgery, which pins the wire
+//! layout itself, not just the writer/reader pair of this build:
+//!
+//! - the v6 stream as older writers produced it, with every dispatch
+//!   block filled in, is the current writer's stream with hand-encoded
+//!   blocks spliced in and the checksum trailer recomputed;
+//! - the older versions are derived from that stream by stripping the
+//!   blocks each version predates and rewriting the version word.
 //!
 //! Version history under test:
 //!   v1  network structure only
@@ -13,17 +17,24 @@
 //!   v4  + packed_thresholds
 //!   v5  + FNV-1a content checksum trailer
 //!   v6  + quant thresholds / eligibility / int8 tables
+//!
+//! The v3, v4 and v6 blocks belong to kernels the engine no longer has:
+//! the reader parses them and discards them, and the writer emits them
+//! empty.
 
 use bsnn_core::layer::{SpikingLayer, ThresholdPolicy};
 use bsnn_core::snapshot::SnapshotMeta;
 use bsnn_core::snapshot::{fnv1a, load_network_with_meta, save_network_with_meta, SnapshotError};
 use bsnn_core::synapse::Synapse;
-use bsnn_core::{QuantizedDense, SpikingNetwork};
+use bsnn_core::SpikingNetwork;
 use bsnn_tensor::Tensor;
 
 const IN: usize = 6;
 const HID: usize = 4;
 const OUT: usize = 3;
+
+/// Offset of `preferred_batch`, right after magic + version.
+const META_START: usize = 8;
 
 fn ramp_weight(n_in: usize, n_out: usize, step: f32) -> Tensor {
     Tensor::from_vec(
@@ -53,75 +64,115 @@ fn network() -> SpikingNetwork {
     SpikingNetwork::new(IN, vec![hidden], out, None).unwrap()
 }
 
-fn full_meta(net: &SpikingNetwork) -> SnapshotMeta {
-    let hidden_weight = match net.layers()[0].synapse() {
-        Synapse::Dense { weight } => weight,
-        _ => unreachable!(),
-    };
-    let out_weight = match net.output_synapse() {
-        Synapse::Dense { weight } => weight,
-        _ => unreachable!(),
-    };
+fn meta() -> SnapshotMeta {
     SnapshotMeta {
         preferred_batch: 16,
-        density_thresholds: vec![0.5, 0.25],
-        packed_thresholds: vec![0.125, 0.0625],
-        quant_thresholds: vec![0.05, 0.075],
-        quant_eligible: vec![true, false],
-        quant_tables: vec![
-            Some(QuantizedDense::from_weights(hidden_weight).unwrap()),
-            Some(QuantizedDense::from_weights(out_weight).unwrap()),
-        ],
     }
 }
 
-/// Byte extents of the variable metadata blocks in a v6 stream of
-/// [`network`] + [`full_meta`]: everything between the version word and
-/// the network body, in write order.
+fn push_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn push_f32s(out: &mut Vec<u8>, values: &[f32]) {
+    push_u32(out, values.len() as u32);
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// One int8 table as older writers encoded it: tag 1, the `n_in × n_out`
+/// shape, `n_in · n_out` two's-complement codes, then `n_out` scales.
+fn push_table(out: &mut Vec<u8>, n_in: usize, n_out: usize) {
+    out.push(1);
+    push_u32(out, n_in as u32);
+    push_u32(out, n_out as u32);
+    out.extend((0..n_in * n_out).map(|i| (i as i8).wrapping_mul(37).wrapping_sub(64) as u8));
+    for j in 0..n_out {
+        out.extend_from_slice(&(0.004 * (j + 1) as f32).to_le_bytes());
+    }
+}
+
+/// The dispatch blocks of a fully calibrated model, as older writers
+/// encoded them after `preferred_batch`, one byte string per block:
+/// density (v3), packed (v4), and quant thresholds + eligibility +
+/// int8 tables (v6).
+fn legacy_blocks() -> [Vec<u8>; 3] {
+    let mut density = Vec::new();
+    push_f32s(&mut density, &[0.5, 0.25]);
+    let mut packed = Vec::new();
+    push_f32s(&mut packed, &[0.125, 0.0625]);
+    let mut quant = Vec::new();
+    push_f32s(&mut quant, &[0.05, 0.075]);
+    push_u32(&mut quant, 2);
+    quant.extend_from_slice(&[1, 0]);
+    push_u32(&mut quant, 2);
+    push_table(&mut quant, IN, HID);
+    push_table(&mut quant, HID, OUT);
+    [density, packed, quant]
+}
+
+/// The v6 stream as older writers produced it: the current writer's
+/// stream with its five empty dispatch blocks replaced by
+/// [`legacy_blocks`] and the FNV-1a trailer recomputed. `downgrade` in
+/// reverse.
+fn legacy_v6(current: &[u8]) -> Vec<u8> {
+    let empty = META_START + 4..META_START + 4 + 4 * 5;
+    assert!(
+        current[empty.clone()].iter().all(|&b| b == 0),
+        "the writer emits five empty dispatch blocks"
+    );
+    let mut out = current[..empty.start].to_vec();
+    for block in legacy_blocks() {
+        out.extend_from_slice(&block);
+    }
+    out.extend_from_slice(&current[empty.end..current.len() - 8]);
+    let digest = fnv1a(&out);
+    out.extend_from_slice(&digest.to_le_bytes());
+    out
+}
+
+/// End offsets, in a [`legacy_v6`] stream, of each metadata
+/// generation: `preferred_batch` (v2), density (v3), packed (v4, v5)
+/// and the v6 blocks.
 struct Blocks {
-    /// Offset of `preferred_batch` (right after magic + version).
-    meta_start: usize,
-    /// One block per metadata generation, as (start, end) byte ranges.
-    preferred_batch: (usize, usize),
-    density: (usize, usize),
-    packed: (usize, usize),
-    quant: (usize, usize),
+    preferred_batch: usize,
+    density: usize,
+    packed: usize,
+    quant: usize,
 }
 
 fn blocks() -> Blocks {
-    let meta_start = 8;
-    let pb = (meta_start, meta_start + 4);
-    let density = (pb.1, pb.1 + 4 + 4 * 2);
-    let packed = (density.1, density.1 + 4 + 4 * 2);
-    // quant thresholds (4 + 4·2) + eligibility (4 + 1·2) + tables:
-    // count word, then per table tag + dims + codes + scales.
-    let table = |n_in: usize, n_out: usize| 1 + 4 + 4 + n_in * n_out + 4 * n_out;
-    let quant_len = (4 + 4 * 2) + (4 + 2) + 4 + table(IN, HID) + table(HID, OUT);
-    let quant = (packed.1, packed.1 + quant_len);
+    let [density, packed, quant] = legacy_blocks();
+    let preferred_batch = META_START + 4;
     Blocks {
-        meta_start,
-        preferred_batch: pb,
-        density,
-        packed,
-        quant,
+        preferred_batch,
+        density: preferred_batch + density.len(),
+        packed: preferred_batch + density.len() + packed.len(),
+        quant: preferred_batch + density.len() + packed.len() + quant.len(),
     }
 }
 
-/// Rewrites a v6 stream as an earlier version: keeps metadata blocks up
-/// to `keep_end`, drops the rest, stamps `version`, and re-trailers
-/// (v5+) or strips the checksum (v4 and older).
+/// Rewrites a legacy v6 stream as an earlier version: keeps metadata
+/// blocks up to `keep_end`, drops the rest, stamps `version`, and
+/// re-trailers (v5+) or strips the checksum (v4 and older).
 fn downgrade(v6: &[u8], version: u32, keep_end: usize) -> Vec<u8> {
-    let b = blocks();
     let mut out = Vec::with_capacity(v6.len());
     out.extend_from_slice(&v6[..4]);
     out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&v6[b.meta_start..keep_end]);
-    out.extend_from_slice(&v6[b.quant.1..v6.len() - 8]);
+    out.extend_from_slice(&v6[META_START..keep_end]);
+    out.extend_from_slice(&v6[blocks().quant..v6.len() - 8]);
     if version >= 5 {
         let digest = fnv1a(&out);
         out.extend_from_slice(&digest.to_le_bytes());
     }
     out
+}
+
+fn current_v6(net: &SpikingNetwork) -> Vec<u8> {
+    let mut v6 = Vec::new();
+    save_network_with_meta(net, meta(), &mut v6).unwrap();
+    v6
 }
 
 fn assert_same_network(loaded: &SpikingNetwork, original: &SpikingNetwork) {
@@ -147,53 +198,22 @@ fn assert_same_network(loaded: &SpikingNetwork, original: &SpikingNetwork) {
 #[test]
 fn every_snapshot_version_loads_with_its_eras_metadata() {
     let net = network();
-    let meta = full_meta(&net);
-    let mut v6 = Vec::new();
-    save_network_with_meta(&net, meta.clone(), &mut v6).unwrap();
+    let current = current_v6(&net);
+    let (loaded, got) = load_network_with_meta(&current[..]).expect("current v6 loads");
+    assert_same_network(&loaded, &net);
+    assert_eq!(got, meta(), "current v6 metadata");
+    let v6 = legacy_v6(&current);
     let b = blocks();
 
-    // The expected metadata per version: each stream carries exactly
-    // what its format generation could express, defaults elsewhere.
-    let cases: [(u32, usize, SnapshotMeta); 6] = [
-        (1, b.meta_start, SnapshotMeta::default()),
-        (
-            2,
-            b.preferred_batch.1,
-            SnapshotMeta {
-                preferred_batch: meta.preferred_batch,
-                ..SnapshotMeta::default()
-            },
-        ),
-        (
-            3,
-            b.density.1,
-            SnapshotMeta {
-                preferred_batch: meta.preferred_batch,
-                density_thresholds: meta.density_thresholds.clone(),
-                ..SnapshotMeta::default()
-            },
-        ),
-        (
-            4,
-            b.packed.1,
-            SnapshotMeta {
-                quant_thresholds: Vec::new(),
-                quant_eligible: Vec::new(),
-                quant_tables: Vec::new(),
-                ..meta.clone()
-            },
-        ),
-        (
-            5,
-            b.packed.1,
-            SnapshotMeta {
-                quant_thresholds: Vec::new(),
-                quant_eligible: Vec::new(),
-                quant_tables: Vec::new(),
-                ..meta.clone()
-            },
-        ),
-        (6, b.quant.1, meta.clone()),
+    // v1 predates the metadata block; every later version carries
+    // `preferred_batch`, and its dispatch blocks are discarded.
+    let cases = [
+        (1u32, META_START, SnapshotMeta::default()),
+        (2, b.preferred_batch, meta()),
+        (3, b.density, meta()),
+        (4, b.packed, meta()),
+        (5, b.packed, meta()),
+        (6, b.quant, meta()),
     ];
     for (version, keep_end, expected) in cases {
         let stream = downgrade(&v6, version, keep_end);
@@ -210,11 +230,9 @@ fn every_snapshot_version_loads_with_its_eras_metadata() {
 #[test]
 fn checksummed_versions_reject_corruption_unchecksummed_do_not_pretend_to() {
     let net = network();
-    let meta = full_meta(&net);
-    let mut v6 = Vec::new();
-    save_network_with_meta(&net, meta, &mut v6).unwrap();
+    let v6 = legacy_v6(&current_v6(&net));
     let b = blocks();
-    for (version, keep_end) in [(5u32, b.packed.1), (6, b.quant.1)] {
+    for (version, keep_end) in [(5u32, b.packed), (6, b.quant)] {
         let mut stream = downgrade(&v6, version, keep_end);
         // Flip inside the last output weight: structurally sound, so
         // only the content checksum can catch it.
@@ -227,9 +245,17 @@ fn checksummed_versions_reject_corruption_unchecksummed_do_not_pretend_to() {
             other => panic!("v{version} corrupt stream gave {other:?}"),
         }
     }
+    // A flip inside a discarded int8 table is still content the
+    // checksum covers.
+    let mut stream = v6.clone();
+    stream[b.quant - 10] ^= 0x01;
+    assert!(matches!(
+        load_network_with_meta(&stream[..]),
+        Err(SnapshotError::Checksum { .. })
+    ));
     // v4 predates the trailer: the same flip decodes silently — the
     // documented (weaker) contract for legacy streams.
-    let mut v4 = downgrade(&v6, 4, b.packed.1);
+    let mut v4 = downgrade(&v6, 4, b.packed);
     let idx = v4.len() - 8;
     v4[idx] ^= 0x10;
     load_network_with_meta(&v4[..]).expect("v4 has no integrity trailer");
@@ -238,9 +264,8 @@ fn checksummed_versions_reject_corruption_unchecksummed_do_not_pretend_to() {
 #[test]
 fn future_versions_are_refused_up_front() {
     let net = network();
-    let mut v6 = Vec::new();
-    save_network_with_meta(&net, full_meta(&net), &mut v6).unwrap();
-    let stream = downgrade(&v6, 7, blocks().quant.1);
+    let v6 = legacy_v6(&current_v6(&net));
+    let stream = downgrade(&v6, 7, blocks().quant);
     match load_network_with_meta(&stream[..]) {
         Err(SnapshotError::Format(msg)) => {
             assert!(msg.contains("version"), "unexpected message: {msg}")

@@ -211,22 +211,12 @@ fn main() -> ExitCode {
         let policy =
             autotune_batch(&snn, scheme, &AutotuneConfig::default()).expect("autotune probe");
         println!(
-            "autotune: preferred lockstep width {} ({:.2}x vs scalar), packed crossovers {:?}, quant crossovers {:?} (eligible {:?})",
+            "autotune: preferred lockstep width {} ({:.2}x vs scalar)",
             policy.preferred_batch,
-            policy.speedup_vs_scalar(),
-            policy.packed_thresholds,
-            policy.quant_thresholds,
-            policy.quant_eligible
+            policy.speedup_vs_scalar()
         );
         SnapshotMeta {
             preferred_batch: policy.preferred_batch as u32,
-            packed_thresholds: policy.packed_thresholds,
-            quant_thresholds: policy.quant_thresholds,
-            quant_eligible: policy.quant_eligible,
-            // Workers' engines derive their own int8 tables from the
-            // f32 weights; blobs are only needed when shipping the
-            // gated quantization verbatim.
-            ..SnapshotMeta::default()
         }
     } else {
         SnapshotMeta::default()
@@ -247,7 +237,7 @@ fn main() -> ExitCode {
     );
 
     // 3. Start the worker pool (with engine profiling on, so the demo
-    //    can report per-stage kernel dispatch at exit).
+    //    can report per-stage kernel and cache steps at exit).
     let cfg = ServeConfig {
         workers: args.workers,
         queue_capacity: args.queue_capacity,

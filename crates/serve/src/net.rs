@@ -582,13 +582,20 @@ pub fn decode_response(payload: &[u8]) -> Result<NetResponse, WireError> {
                 queue_micros: c.u64()?,
                 service_micros: c.u64()?,
                 batch_size: c.u32()? as usize,
-                degraded: c.u8()? != 0,
+                degraded: match c.u8()? {
+                    0 => false,
+                    1 => true,
+                    other => return Err(WireError::BadCode(other)),
+                },
             },
         },
-        STATUS_SHED => NetResponse::Shed {
-            request_id,
-            reason: ShedReason::from_code(c.u8()?).ok_or(WireError::BadCode(255))?,
-        },
+        STATUS_SHED => {
+            let code = c.u8()?;
+            NetResponse::Shed {
+                request_id,
+                reason: ShedReason::from_code(code).ok_or(WireError::BadCode(code))?,
+            }
+        }
         STATUS_ERROR => {
             let len = c.u16()? as usize;
             let message = std::str::from_utf8(c.take(len)?)
@@ -1933,6 +1940,31 @@ mod tests {
         let status_at = 4 + 1 + 8;
         resp[status_at] = 7;
         assert_eq!(decode_response(&resp[4..]), Err(WireError::BadCode(7)));
+        // An unknown shed reason is reported as the byte that arrived.
+        resp[status_at] = STATUS_SHED;
+        resp[status_at + 1] = 9;
+        assert_eq!(decode_response(&resp[4..]), Err(WireError::BadCode(9)));
+        // The OK frame's degraded flag is 0 or 1, nothing else.
+        let mut ok = Vec::new();
+        encode_response_ok(
+            &mut ok,
+            3,
+            &InferResponse {
+                prediction: 1,
+                steps: 8,
+                spikes: 40,
+                margin: 0.5,
+                exit: ExitReason::Converged,
+                model_epoch: 1,
+                queue_micros: 2,
+                service_micros: 3,
+                batch_size: 4,
+                degraded: true,
+            },
+        );
+        let last = ok.len() - 1;
+        ok[last] = 2;
+        assert_eq!(decode_response(&ok[4..]), Err(WireError::BadCode(2)));
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //!   of a dump — used by `bsnn_loadgen --check-shed-metrics` to
 //!   reconcile observed SHED responses against the server's counters.
 //! * **Stage profiles** — [`format_profile`] renders a
-//!   [`bsnn_core::ProfileSnapshot`] (per-stage dense/packed/quant/
-//!   cached kernel counts, mean firing density, kernel wall time) the way the
-//!   demo binaries print it at exit; the same numbers appear as
-//!   `bsnn_model_stage_*` series in the Prometheus dump.
+//!   [`bsnn_core::ProfileSnapshot`] (per-stage counts of dense-kernel
+//!   steps and PSP-cache replays, mean firing density, kernel wall
+//!   time) the way the demo binaries print it at exit; the same numbers
+//!   appear as `bsnn_model_stage_*` series in the Prometheus dump.
 //!
 //! ## Trace ring semantics
 //!
@@ -455,16 +455,6 @@ impl MetricsHub {
                 );
                 let _ = writeln!(
                     out,
-                    "bsnn_model_stage_packed_steps_total{{model=\"{label}\",stage=\"{stage}\"}} {}",
-                    s.packed_steps
-                );
-                let _ = writeln!(
-                    out,
-                    "bsnn_model_stage_quant_steps_total{{model=\"{label}\",stage=\"{stage}\"}} {}",
-                    s.quant_steps
-                );
-                let _ = writeln!(
-                    out,
                     "bsnn_model_stage_cached_steps_total{{model=\"{label}\",stage=\"{stage}\"}} {}",
                     s.cached_steps
                 );
@@ -554,9 +544,8 @@ pub fn parse_metric(text: &str, name: &str) -> Option<f64> {
 }
 
 /// Renders a per-model [`ProfileSnapshot`] the way the demo binaries
-/// print it at exit: one line per stage with the
-/// dense/packed/quant/cached kernel mix, mean firing density, and
-/// kernel wall time.
+/// print it at exit: one line per stage with its dense-kernel and
+/// PSP-cache step counts, mean firing density, and kernel wall time.
 pub fn format_profile(model: &str, profile: &ProfileSnapshot) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -569,10 +558,8 @@ pub fn format_profile(model: &str, profile: &ProfileSnapshot) -> String {
     for (stage, s) in profile.stages.iter().enumerate() {
         let _ = writeln!(
             out,
-            "  stage {stage}: dense {} packed {} quant {} cached {}  density {:.4}  kernel {:.2} ms",
+            "  stage {stage}: dense {} cached {}  density {:.4}  kernel {:.2} ms",
             s.dense_steps,
-            s.packed_steps,
-            s.quant_steps,
             s.cached_steps,
             s.mean_density,
             s.kernel_nanos as f64 / 1e6

@@ -9,14 +9,11 @@
 //! network they started with, and pick up the new epoch on their next
 //! request.
 //!
-//! An entry can carry a **preferred lockstep batch width** and
-//! per-stage **kernel crossovers** — measured per model by
-//! [`bsnn_core::autotune::autotune_batch`], loaded from snapshot
-//! metadata, or set explicitly. Workers split every popped micro-batch
-//! into per-model sub-batches at the preferred width and install the
-//! crossovers into their lockstep engines, so each model runs the
-//! packed, int8 or dense kernel where its own calibration found it
-//! fastest, at its own width.
+//! An entry can carry a **preferred lockstep batch width** — measured
+//! per model by [`bsnn_core::autotune::autotune_batch`], loaded from
+//! snapshot metadata, or set explicitly. Workers split every popped
+//! micro-batch into per-model sub-batches at that width, so each model
+//! runs at its own sweet spot.
 
 use crate::error::ServeError;
 use bsnn_core::autotune::{autotune_batch, AutotuneConfig, BatchPolicy};
@@ -38,11 +35,6 @@ pub struct ModelEntry {
     scheme: CodingScheme,
     phase_period: u32,
     preferred_batch: Option<usize>,
-    density_thresholds: Vec<f32>,
-    packed_thresholds: Vec<f32>,
-    quant_thresholds: Vec<f32>,
-    quant_eligible: Vec<bool>,
-    quant_tables: Vec<Option<bsnn_core::QuantizedDense>>,
     profile: Arc<ProfileSink>,
 }
 
@@ -81,39 +73,31 @@ impl ModelEntry {
         self.preferred_batch
     }
 
-    /// The snapshot's v3+ density-crossover field, stored as installed
-    /// and ignored by the engines; kept so existing readers such as
-    /// the `perfbench` harness still build.
+    /// Inert: always empty (the removed sparse kernel's crossovers);
+    /// kept so existing readers such as the `perfbench` harness still
+    /// build.
     pub fn density_thresholds(&self) -> &[f32] {
-        &self.density_thresholds
+        &[]
     }
 
-    /// Calibrated per-stage packed/dense density crossovers (empty =
-    /// none measured; engines fall back to
-    /// [`bsnn_core::batch::DEFAULT_PACKED_CROSSOVER`]).
+    /// Inert: always empty (the removed packed kernel's crossovers);
+    /// kept so existing readers such as the `perfbench` harness still
+    /// build.
     pub fn packed_thresholds(&self) -> &[f32] {
-        &self.packed_thresholds
+        &[]
     }
 
-    /// Calibrated per-stage quant/dense density crossovers for the
-    /// int8 kernels (empty = none measured; engines fall back to
-    /// [`bsnn_core::batch::DEFAULT_QUANT_CROSSOVER`]).
+    /// Inert: always empty (the removed int8 kernel's crossovers); kept
+    /// so existing readers such as the `perfbench` harness still build.
     pub fn quant_thresholds(&self) -> &[f32] {
-        &self.quant_thresholds
+        &[]
     }
 
-    /// Per-stage accuracy-gate verdicts: `true` lets the stage pick the
-    /// int8 kernel under `Auto` dispatch (empty = gate never ran →
-    /// quantization stays off).
+    /// Inert: always empty (the removed int8 kernel's accuracy-gate
+    /// verdicts); kept so existing readers such as the `perfbench`
+    /// harness still build.
     pub fn quant_eligible(&self) -> &[bool] {
-        &self.quant_eligible
-    }
-
-    /// Int8 weight tables shipped in the model's snapshot, one slot per
-    /// dispatch stage (empty = none shipped; engines derive their own
-    /// from the f32 weights).
-    pub fn quant_tables(&self) -> &[Option<bsnn_core::QuantizedDense>] {
-        &self.quant_tables
+        &[]
     }
 
     /// The entry's kernel-profile sink (one cell per stage, hidden
@@ -125,19 +109,6 @@ impl ModelEntry {
     pub fn profile(&self) -> &Arc<ProfileSink> {
         &self.profile
     }
-}
-
-/// Dispatch-tuning metadata an entry is installed with — everything a
-/// worker needs to configure its lockstep engines beyond the network
-/// itself.
-#[derive(Debug, Default)]
-struct DispatchMeta {
-    preferred_batch: Option<usize>,
-    density_thresholds: Vec<f32>,
-    packed_thresholds: Vec<f32>,
-    quant_thresholds: Vec<f32>,
-    quant_eligible: Vec<bool>,
-    quant_tables: Vec<Option<bsnn_core::QuantizedDense>>,
 }
 
 /// Thread-safe named model store.
@@ -164,13 +135,7 @@ impl ModelRegistry {
         scheme: CodingScheme,
         phase_period: u32,
     ) -> u64 {
-        self.install_entry(
-            name.into(),
-            network,
-            scheme,
-            phase_period,
-            DispatchMeta::default(),
-        )
+        self.install_entry(name.into(), network, scheme, phase_period, None)
     }
 
     /// [`install`](Self::install) with an explicit preferred lockstep
@@ -188,37 +153,7 @@ impl ModelRegistry {
             network,
             scheme,
             phase_period,
-            DispatchMeta {
-                preferred_batch: (preferred_batch > 0).then_some(preferred_batch),
-                ..DispatchMeta::default()
-            },
-        )
-    }
-
-    /// [`install`](Self::install) carrying a full measured
-    /// [`BatchPolicy`] — the preferred lockstep width plus the
-    /// per-stage kernel crossovers and int8 eligibility.
-    pub fn install_with_policy(
-        &self,
-        name: impl Into<String>,
-        network: SpikingNetwork,
-        scheme: CodingScheme,
-        phase_period: u32,
-        policy: &BatchPolicy,
-    ) -> u64 {
-        self.install_entry(
-            name.into(),
-            network,
-            scheme,
-            phase_period,
-            DispatchMeta {
-                preferred_batch: (policy.preferred_batch > 0).then_some(policy.preferred_batch),
-                density_thresholds: policy.density_thresholds.clone(),
-                packed_thresholds: policy.packed_thresholds.clone(),
-                quant_thresholds: policy.quant_thresholds.clone(),
-                quant_eligible: policy.quant_eligible.clone(),
-                quant_tables: Vec::new(),
-            },
+            (preferred_batch > 0).then_some(preferred_batch),
         )
     }
 
@@ -245,7 +180,8 @@ impl ModelRegistry {
             ..cfg.clone()
         };
         let policy = autotune_batch(&network, scheme, &probe_cfg)?;
-        let epoch = self.install_with_policy(name, network, scheme, phase_period, &policy);
+        let epoch =
+            self.install_with_batch(name, network, scheme, phase_period, policy.preferred_batch);
         Ok((epoch, policy))
     }
 
@@ -255,7 +191,7 @@ impl ModelRegistry {
         network: SpikingNetwork,
         scheme: CodingScheme,
         phase_period: u32,
-        meta: DispatchMeta,
+        preferred_batch: Option<usize>,
     ) -> u64 {
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed) + 1;
         // One profile cell per lockstep stage: hidden layers + output.
@@ -266,12 +202,7 @@ impl ModelRegistry {
             network,
             scheme,
             phase_period,
-            preferred_batch: meta.preferred_batch,
-            density_thresholds: meta.density_thresholds,
-            packed_thresholds: meta.packed_thresholds,
-            quant_thresholds: meta.quant_thresholds,
-            quant_eligible: meta.quant_eligible,
-            quant_tables: meta.quant_tables,
+            preferred_batch,
             profile,
         });
         self.models
@@ -283,8 +214,7 @@ impl ModelRegistry {
 
     /// Installs a model from a `BSNN` snapshot stream (the format
     /// written by [`bsnn_core::snapshot::save_network`]). A snapshot's
-    /// `preferred_batch`, crossover, eligibility and int8-table metadata
-    /// become the entry's batch preference and dispatch policy, so
+    /// `preferred_batch` becomes the entry's batch preference, so
     /// autotuned deployments survive the save/ship/load round trip.
     ///
     /// # Errors
@@ -305,20 +235,12 @@ impl ModelRegistry {
             snapshot::SnapshotError::Checksum { .. } => ServeError::SnapshotChecksum(e.to_string()),
             other => ServeError::Snapshot(other.to_string()),
         })?;
-        let preferred = meta.preferred_batch as usize;
-        Ok(self.install_entry(
-            name.into(),
+        Ok(self.install_with_batch(
+            name,
             network,
             scheme,
             phase_period,
-            DispatchMeta {
-                preferred_batch: (preferred > 0).then_some(preferred),
-                density_thresholds: meta.density_thresholds,
-                packed_thresholds: meta.packed_thresholds,
-                quant_thresholds: meta.quant_thresholds,
-                quant_eligible: meta.quant_eligible,
-                quant_tables: meta.quant_tables,
-            },
+            meta.preferred_batch as usize,
         ))
     }
 
@@ -475,24 +397,12 @@ mod tests {
             0,
         );
         assert_eq!(reg.get("unset").unwrap().preferred_batch(), None);
-        // Snapshot metadata survives the save/ship/load round trip —
-        // batch preference AND dispatch crossovers.
+        // The batch preference survives the save/ship/load round trip;
+        // the removed kernels' accessors stay empty.
         let mut buf = Vec::new();
         bsnn_core::snapshot::save_network_with_meta(
             &tiny_network(1.0),
-            bsnn_core::snapshot::SnapshotMeta {
-                preferred_batch: 4,
-                density_thresholds: vec![0.1875, 0.375],
-                packed_thresholds: vec![0.0625, 0.03125],
-                quant_thresholds: vec![0.09375, 0.0],
-                quant_eligible: vec![true, false],
-                quant_tables: vec![
-                    bsnn_core::QuantizedDense::from_weights(
-                        &Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap(),
-                    ),
-                    None,
-                ],
-            },
+            bsnn_core::snapshot::SnapshotMeta { preferred_batch: 4 },
             &mut buf,
         )
         .unwrap();
@@ -500,39 +410,10 @@ mod tests {
             .unwrap();
         let shipped = reg.get("shipped").unwrap();
         assert_eq!(shipped.preferred_batch(), Some(4));
-        assert_eq!(shipped.density_thresholds(), &[0.1875, 0.375]);
-        assert_eq!(shipped.packed_thresholds(), &[0.0625, 0.03125]);
-        assert_eq!(shipped.quant_thresholds(), &[0.09375, 0.0]);
-        assert_eq!(shipped.quant_eligible(), &[true, false]);
-        assert_eq!(shipped.quant_tables().len(), 2);
-        assert!(shipped.quant_tables()[0].is_some());
-        assert!(shipped.quant_tables()[1].is_none());
-        // A full measured policy installs both knobs.
-        let policy = bsnn_core::autotune::BatchPolicy {
-            preferred_batch: 8,
-            probes: vec![],
-            density_thresholds: vec![0.5, 0.0],
-            packed_thresholds: vec![0.125, 0.0],
-            quant_thresholds: vec![0.25, 0.0],
-            quant_eligible: vec![true, false],
-        };
-        reg.install_with_policy(
-            "measured",
-            tiny_network(1.0),
-            CodingScheme::recommended(),
-            8,
-            &policy,
-        );
-        let measured = reg.get("measured").unwrap();
-        assert_eq!(measured.preferred_batch(), Some(8));
-        assert_eq!(measured.density_thresholds(), &[0.5, 0.0]);
-        assert_eq!(measured.packed_thresholds(), &[0.125, 0.0]);
-        assert_eq!(measured.quant_thresholds(), &[0.25, 0.0]);
-        assert_eq!(measured.quant_eligible(), &[true, false]);
-        assert!(
-            measured.quant_tables().is_empty(),
-            "engines derive their own"
-        );
+        assert!(shipped.density_thresholds().is_empty());
+        assert!(shipped.packed_thresholds().is_empty());
+        assert!(shipped.quant_thresholds().is_empty());
+        assert!(shipped.quant_eligible().is_empty());
     }
 
     #[test]
@@ -554,6 +435,5 @@ mod tests {
         assert_eq!(entry.epoch(), epoch);
         assert_eq!(entry.preferred_batch(), Some(policy.preferred_batch));
         assert!(cfg.widths.contains(&policy.preferred_batch));
-        assert_eq!(entry.density_thresholds(), policy.density_thresholds);
     }
 }

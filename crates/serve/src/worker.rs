@@ -21,7 +21,7 @@ use crate::queue::BatchQueue;
 use crate::registry::ModelRegistry;
 use crate::request::{InferRequest, InferResponse, InferResult, ResponseSlot};
 use crate::supervisor::{Blame, Supervisor};
-use bsnn_core::batch::{BatchedNetwork, DispatchMode, DispatchPolicy};
+use bsnn_core::batch::BatchedNetwork;
 use bsnn_core::SnnError;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -81,9 +81,7 @@ struct CachedModel {
     engine: BatchedNetwork,
 }
 
-/// Builds a worker's lockstep engine for one registry entry, installing
-/// the model's measured density crossovers so per-step kernel dispatch
-/// runs the calibration the autotuner shipped with the model. With
+/// Builds a worker's lockstep engine for one registry entry. With
 /// profiling on, the engine reports into the entry's shared
 /// [`crate::registry::ModelEntry::profile`] sink.
 fn build_cached(
@@ -93,20 +91,6 @@ fn build_cached(
 ) -> CachedModel {
     let mut engine = BatchedNetwork::new(entry.network().clone(), max_batch)
         .expect("max_batch validated at runtime start");
-    engine.set_dispatch(DispatchPolicy {
-        mode: DispatchMode::Auto,
-        packed_thresholds: entry.packed_thresholds().to_vec(),
-        quant_thresholds: entry.quant_thresholds().to_vec(),
-        quant_eligible: entry.quant_eligible().to_vec(),
-        ..DispatchPolicy::default()
-    });
-    // Snapshot-shipped int8 tables override the engine's self-derived
-    // ones, so serving runs the exact quantization the accuracy gate
-    // approved. A shape mismatch (stale blob vs current weights) keeps
-    // the self-derived tables instead of failing the install.
-    if !entry.quant_tables().is_empty() {
-        let _ = engine.install_quantized(entry.quant_tables().to_vec());
-    }
     if profile {
         engine.set_profile_sink(Some(Arc::clone(entry.profile())));
     }

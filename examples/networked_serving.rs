@@ -171,8 +171,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         runtime.metrics()
     );
 
-    // Per-stage engine profile: which kernel each stage ran (dense,
-    // packed, int8, or PSP-cache replay) and where the stepping time
+    // Per-stage engine profile: how often each stage ran the dense
+    // kernel or replayed the PSP cache, and where the stepping time
     // went.
     println!("\nengine profiles:");
     for name in registry.names() {
