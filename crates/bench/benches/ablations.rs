@@ -1,6 +1,9 @@
 //! Criterion benches for the DESIGN.md ablations: conversion cost under
 //! max vs percentile normalization, burst-constant β variants, and the
 //! raw spiking-layer step cost per threshold policy.
+//!
+//! The β variants time `infer_image`, the cache-free scalar reference,
+//! which recomputes the input stage every step.
 
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::convert::{convert, ConversionConfig, Normalization};

@@ -5,6 +5,11 @@
 //! scales with spike traffic, so burst/phase hidden coding under real
 //! input is visibly more expensive per step than sparse schemes, which is
 //! the paper's energy argument in microcosm.
+//!
+//! `infer_image` is the cache-free scalar reference: it recomputes the
+//! input stage every step, even under real or phase input coding whose
+//! drive repeats. These timings are the reference's cost, not the
+//! lockstep engine's (see the `batched_sim` bench).
 
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::convert::{convert, ConversionConfig};

@@ -129,12 +129,6 @@ impl InputEncoder {
         self.len == 0
     }
 
-    /// Whether the drive signal is identical on every step (true only for
-    /// real coding). Lets the first spiking stage cache its PSP.
-    pub fn is_static(&self) -> bool {
-        matches!(self.kind, EncoderKind::Real { .. })
-    }
-
     /// The period `p` such that the drive at step `t` is a pure function
     /// of `t % p`, if the coding is periodic: real coding is the `p = 1`
     /// case, phase coding repeats every period (the codes are static and
@@ -241,7 +235,7 @@ mod tests {
     #[test]
     fn real_injects_constant_analog() {
         let mut enc = InputEncoder::new(InputCoding::Real, &[0.3, 0.7], 8).unwrap();
-        assert!(enc.is_static());
+        assert_eq!(enc.period(), Some(1));
         let (frames, spikes) = collect_steps(&mut enc, 3);
         assert_eq!(spikes, 0);
         for f in frames {
@@ -252,7 +246,7 @@ mod tests {
     #[test]
     fn rate_firing_rate_tracks_intensity() {
         let mut enc = InputEncoder::new(InputCoding::Rate, &[0.25, 0.75, 0.0], 8).unwrap();
-        assert!(!enc.is_static());
+        assert_eq!(enc.period(), None);
         let steps = 400u64;
         let (frames, _) = collect_steps(&mut enc, steps);
         let counts: Vec<usize> = (0..3)

@@ -94,22 +94,8 @@ pub struct SpikingLayer {
     g: Vec<f32>,
     out: Vec<f32>,
     psp: Vec<f32>,
-    /// Cached PSP rows keyed by input-generation token: when the caller
-    /// presents a token it has seen before, the matching PSP is reused
-    /// without recomputation. Real input coding drives the first stage
-    /// with a constant analog vector (one generation per run); periodic
-    /// encoders (phase, TTFS) cycle through at most `period`
-    /// generations, so each distinct token's synapse pass runs once and
-    /// every later period replays from here. Bounded at
-    /// [`MAX_PSP_SLOTS`]; a `None` token clears all slots.
-    psp_slots: Vec<(u64, Vec<f32>)>,
     reset: ResetMode,
 }
-
-/// Upper bound on cached PSP generations per layer — covers every
-/// practical phase period / TTFS window while keeping the worst-case
-/// memory at 32 PSP rows. Matches the lockstep engine's slot cap.
-const MAX_PSP_SLOTS: usize = 32;
 
 impl SpikingLayer {
     /// Builds a spiking layer.
@@ -143,7 +129,6 @@ impl SpikingLayer {
             g: vec![1.0; n],
             out: vec![0.0; n],
             psp: vec![0.0; n],
-            psp_slots: Vec::new(),
             reset: ResetMode::Subtraction,
         })
     }
@@ -198,11 +183,10 @@ impl SpikingLayer {
         self.reset = reset;
     }
 
-    /// Resets all dynamic state (membrane, burst function, caches).
+    /// Resets all dynamic state (membrane, burst function).
     pub fn reset(&mut self) {
         self.vmem.iter_mut().for_each(|v| *v = 0.0);
         self.g.iter_mut().for_each(|g| *g = 1.0);
-        self.psp_slots.clear();
     }
 
     /// The threshold of neuron `j` at time `t` under the current state.
@@ -223,64 +207,23 @@ impl SpikingLayer {
     /// real input coding). Returns the output spike-magnitude buffer
     /// (entries are the emitting neuron's threshold, or `0.0`).
     ///
+    /// This is the reference transcription of the dynamics above, with no
+    /// cache: every step recomputes the PSP from `input`. The lockstep
+    /// engine ([`crate::batch`]) performs the same float operations in the
+    /// same order — taps summed from `0.0`, then `vmem + psp`, then the
+    /// bias, then the threshold compare and reset — so its lanes match
+    /// this loop bit for bit.
+    ///
     /// # Errors
     ///
     /// Returns [`SnnError::InputSizeMismatch`] when `input` has the wrong
     /// length.
     pub fn step(&mut self, input: &[f32], t: u64) -> Result<&[f32], SnnError> {
-        self.step_with_token(input, t, None)
-    }
-
-    /// Advances the layer one time step, passing an *input-generation
-    /// token*.
-    ///
-    /// The token identifies the content of `input`: callers that know
-    /// their drive signal repeats a previously seen generation (real
-    /// input coding's constant analog vector, or a periodic encoder
-    /// re-emitting phase `t mod k`) pass that generation's `Some(token)`
-    /// again, and the layer reuses the PSP it computed for it without an
-    /// O(n) buffer compare. `None` always recomputes and drops every
-    /// cached generation — the token alone governs caching. Passing a
-    /// previously used token with *different* input contents is a caller
-    /// contract violation and yields stale PSPs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::InputSizeMismatch`] when `input` has the wrong
-    /// length.
-    pub fn step_with_token(
-        &mut self,
-        input: &[f32],
-        t: u64,
-        token: Option<u64>,
-    ) -> Result<&[f32], SnnError> {
-        // 1. PSP accumulation (replayed when a cached generation
-        //    matches the token).
-        let hit = token.and_then(|tok| self.psp_slots.iter().position(|(k, _)| *k == tok));
-        match hit {
-            Some(idx) => {
-                for (v, p) in self.vmem.iter_mut().zip(&self.psp_slots[idx].1) {
-                    *v += p;
-                }
-            }
-            None => {
-                self.psp.iter_mut().for_each(|p| *p = 0.0);
-                self.synapse.accumulate(input, &mut self.psp)?;
-                match token {
-                    Some(tok) => {
-                        if self.psp_slots.len() == MAX_PSP_SLOTS {
-                            // Degenerate caller (more generations than
-                            // slots): start over rather than thrash.
-                            self.psp_slots.clear();
-                        }
-                        self.psp_slots.push((tok, self.psp.clone()));
-                    }
-                    None => self.psp_slots.clear(),
-                }
-                for (v, p) in self.vmem.iter_mut().zip(&self.psp) {
-                    *v += p;
-                }
-            }
+        // 1. Accumulate the PSP from zero, integrate it, add the bias.
+        self.psp.iter_mut().for_each(|p| *p = 0.0);
+        self.synapse.accumulate(input, &mut self.psp)?;
+        for (v, p) in self.vmem.iter_mut().zip(&self.psp) {
+            *v += p;
         }
         if let Some(b) = &self.bias {
             for (v, bb) in self.vmem.iter_mut().zip(b) {
@@ -288,52 +231,23 @@ impl SpikingLayer {
             }
         }
 
-        // 2–3. Fire and reset by subtraction.
-        match self.policy {
-            ThresholdPolicy::Fixed { vth } => {
-                for j in 0..self.vmem.len() {
-                    if self.vmem[j] >= vth {
-                        self.out[j] = vth;
-                        self.vmem[j] = match self.reset {
-                            ResetMode::Subtraction => self.vmem[j] - vth,
-                            ResetMode::Zero => 0.0,
-                        };
-                    } else {
-                        self.out[j] = 0.0;
-                    }
-                }
+        // 2–4. One fire loop for every policy: threshold, fire, reset,
+        // and under `Burst` the update of g.
+        for j in 0..self.vmem.len() {
+            let th = self.threshold(j, t);
+            let fire = self.vmem[j] >= th;
+            if fire {
+                self.out[j] = th;
+                self.vmem[j] = match self.reset {
+                    ResetMode::Subtraction => self.vmem[j] - th,
+                    ResetMode::Zero => 0.0,
+                };
+            } else {
+                self.out[j] = 0.0;
             }
-            ThresholdPolicy::Phase { vth, period } => {
-                let phase = (t % period as u64) as i32;
-                let th = vth * 0.5f32.powi(1 + phase);
-                for j in 0..self.vmem.len() {
-                    if self.vmem[j] >= th {
-                        self.out[j] = th;
-                        self.vmem[j] = match self.reset {
-                            ResetMode::Subtraction => self.vmem[j] - th,
-                            ResetMode::Zero => 0.0,
-                        };
-                    } else {
-                        self.out[j] = 0.0;
-                    }
-                }
-            }
-            ThresholdPolicy::Burst { vth, beta } => {
-                for j in 0..self.vmem.len() {
-                    let th = vth * self.g[j];
-                    if self.vmem[j] >= th {
-                        self.out[j] = th;
-                        self.vmem[j] = match self.reset {
-                            ResetMode::Subtraction => self.vmem[j] - th,
-                            ResetMode::Zero => 0.0,
-                        };
-                        // 4. Eq. 8: g(t+1) = β·g(t) after a spike.
-                        self.g[j] *= beta;
-                    } else {
-                        self.out[j] = 0.0;
-                        self.g[j] = 1.0;
-                    }
-                }
+            if let ThresholdPolicy::Burst { beta, .. } = self.policy {
+                // Eq. 8: g(t+1) = β·g(t) after a spike, 1 otherwise.
+                self.g[j] = if fire { self.g[j] * beta } else { 1.0 };
             }
         }
         Ok(&self.out)
@@ -588,62 +502,6 @@ mod tests {
             }
         }
         assert_eq!(spikes, 25);
-    }
-
-    #[test]
-    fn psp_cache_reuses_for_same_token() {
-        let mut l = identity_layer(2, ThresholdPolicy::Fixed { vth: 10.0 });
-        let _ = l.step_with_token(&[0.5, 0.5], 0, Some(7)).unwrap();
-        let v1 = l.potentials().to_vec();
-        // Same token ⇒ the cached PSP is reused; the (deliberately
-        // different) input buffer is not even read.
-        let _ = l.step_with_token(&[9.0, 9.0], 1, Some(7)).unwrap();
-        let v2 = l.potentials().to_vec();
-        assert_eq!(v2, vec![v1[0] * 2.0, v1[1] * 2.0]);
-        // A new token must invalidate the cache.
-        let _ = l.step_with_token(&[1.0, 0.0], 2, Some(8)).unwrap();
-        assert_eq!(l.potentials()[0], v2[0] + 1.0);
-        assert_eq!(l.potentials()[1], v2[1]);
-        // Token `None` always recomputes.
-        let _ = l.step_with_token(&[0.0, 1.0], 3, None).unwrap();
-        assert_eq!(l.potentials()[1], v2[1] + 1.0);
-        // ...and clears the cache: re-presenting an old token after a
-        // `None` step recomputes rather than resurrecting stale PSPs.
-        let _ = l.step_with_token(&[1.0, 0.0], 4, Some(8)).unwrap();
-        assert_eq!(l.potentials()[0], v2[0] + 2.0);
-    }
-
-    #[test]
-    fn psp_cache_replays_periodic_generations() {
-        // Three generations cycling as a periodic encoder would drive
-        // them: the second period must replay each generation from its
-        // slot even though newer generations were cached in between
-        // (the single-slot cache this replaced could not).
-        let mut l = identity_layer(2, ThresholdPolicy::Fixed { vth: 1e9 });
-        let gens = [[0.25f32, 0.0], [0.0, 0.5], [0.125, 0.125]];
-        for t in 0..6u64 {
-            let tok = t % 3;
-            let _ = l
-                .step_with_token(&gens[tok as usize], t, Some(tok))
-                .unwrap();
-        }
-        // Every generation integrated exactly twice (all sums exact in
-        // f32).
-        assert_eq!(l.potentials(), &[0.75, 1.25]);
-        // The replay is a true cache hit: a different buffer under a
-        // seen token is not read (the documented caller contract).
-        let _ = l.step_with_token(&[9.0, 9.0], 6, Some(0)).unwrap();
-        assert_eq!(l.potentials(), &[1.0, 1.25]);
-    }
-
-    #[test]
-    fn psp_cache_cleared_by_reset() {
-        let mut l = identity_layer(1, ThresholdPolicy::Fixed { vth: 10.0 });
-        let _ = l.step_with_token(&[0.5], 0, Some(1)).unwrap();
-        l.reset();
-        // After reset the same token must recompute (fresh image).
-        let _ = l.step_with_token(&[1.0], 0, Some(1)).unwrap();
-        assert_eq!(l.potentials()[0], 1.0);
     }
 
     #[test]

@@ -124,23 +124,17 @@ impl SpikingNetwork {
     }
 
     /// Clears all dynamic state in place for a new image presentation:
-    /// membrane potentials, burst functions `g`, PSP caches, and the
-    /// output accumulator. No layer buffer is reallocated — the network
-    /// can be reused across an unbounded stream of requests without
-    /// per-request allocation, which is what the serving runtime's worker
-    /// pool relies on. After `reset_state()` the network behaves exactly
-    /// like a fresh clone of its pristine self.
+    /// membrane potentials, burst functions `g`, and the output
+    /// accumulator. No layer buffer is reallocated, so one network can
+    /// present an unbounded stream of images without per-image
+    /// allocation; [`crate::StepwiseInference`] calls this before every
+    /// run. After `reset_state()` the network behaves exactly like a
+    /// fresh clone of its pristine self.
     pub fn reset_state(&mut self) {
         for l in &mut self.layers {
             l.reset();
         }
         self.output_vmem.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// Alias of [`reset_state`](Self::reset_state), kept for the original
-    /// API.
-    pub fn reset(&mut self) {
-        self.reset_state();
     }
 
     /// Advances the whole network one time step.
@@ -159,25 +153,6 @@ impl SpikingNetwork {
         t: u64,
         record: &mut SpikeRecord,
     ) -> Result<(), SnnError> {
-        self.step_with_token(input, t, record, None)
-    }
-
-    /// Advances the whole network one time step with an input-generation
-    /// token forwarded to the first stage's PSP cache (see
-    /// [`SpikingLayer::step_with_token`]). Drivers with a constant analog
-    /// input (real coding) pass an unchanged `Some(token)` every step to
-    /// skip recomputing the first stage's PSP without any buffer compare.
-    ///
-    /// # Errors
-    ///
-    /// Returns size-mismatch errors if `input` has the wrong length.
-    pub fn step_with_token(
-        &mut self,
-        input: &[f32],
-        t: u64,
-        record: &mut SpikeRecord,
-        input_token: Option<u64>,
-    ) -> Result<(), SnnError> {
         if input.len() != self.input_len {
             return Err(SnnError::InputSizeMismatch {
                 expected: self.input_len,
@@ -187,8 +162,7 @@ impl SpikingNetwork {
         self.scratch.clear();
         self.scratch.extend_from_slice(input);
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            let token = if i == 0 { input_token } else { None };
-            let out = layer.step_with_token(&self.scratch, t, token)?;
+            let out = layer.step(&self.scratch, t)?;
             record.observe_layer(i + 1, t, out);
             self.scratch.clear();
             self.scratch.extend_from_slice(out);
@@ -301,7 +275,7 @@ mod tests {
         let mut net = tiny_network();
         let mut rec = SpikeRecord::new(&net.spiking_layer_sizes(), RecordLevel::Counts);
         net.step(&[1.0, 1.0], 0, &mut rec).unwrap();
-        net.reset();
+        net.reset_state();
         assert!(net.output_potentials().iter().all(|&v| v == 0.0));
         assert!(net.layers()[0].potentials().iter().all(|&v| v == 0.0));
     }

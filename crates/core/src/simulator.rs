@@ -6,8 +6,15 @@
 //! batch** (step several images through one network simultaneously via
 //! [`BatchedStepwiseInference`], SIMD over the contiguous lane axis).
 //! [`evaluate_dataset_batched`] exposes both knobs; every path produces
-//! results bit-identical to the sequential reference
-//! [`evaluate_dataset`].
+//! results bit-identical to the scalar reference.
+//!
+//! The scalar reference is [`StepwiseInference`] over
+//! [`SpikingNetwork::step`]: a cache-free transcription of the paper's
+//! dynamics that recomputes every stage every step. [`infer_image`] and
+//! [`evaluate_dataset`] run it image by image. It is what the lockstep
+//! engine is checked against, and the only engine that records spike
+//! trains ([`RecordLevel::Trains`]); use [`evaluate_dataset_batched`] for
+//! speed.
 
 use crate::batch::{BatchedNetwork, BatchedStepwiseInference, DispatchPolicy};
 use crate::coding::{CodingScheme, InputCoding};
@@ -156,13 +163,6 @@ pub struct StepwiseInference<'net> {
     t: u64,
     record_input_trains: bool,
     input_is_spiking: bool,
-    /// Period `p` of the encoder's drive, when it is a pure function of
-    /// `t mod p` (real coding: `p = 1`; phase/TTFS: the period/window).
-    /// The first stage's PSP cache is keyed by `t mod p`, so after the
-    /// first period every step replays a cached PSP instead of running
-    /// the synapse. `None` (stateful rate coding, or a period beyond
-    /// the layer's slot budget) disables caching.
-    input_period: Option<u64>,
 }
 
 impl<'net> StepwiseInference<'net> {
@@ -190,9 +190,6 @@ impl<'net> StepwiseInference<'net> {
         let record_input_trains = matches!(cfg.record, RecordLevel::Trains { .. })
             && cfg.scheme.input != InputCoding::Real;
         let input_is_spiking = cfg.scheme.input != InputCoding::Real;
-        // Cache first-stage PSPs per `t mod p` when the drive is
-        // periodic and the period fits the layer's 32-slot budget.
-        let input_period = encoder.period().map(u64::from).filter(|&p| p <= 32);
         let buf = vec![0.0f32; net.input_len()];
         Ok(StepwiseInference {
             net,
@@ -203,7 +200,6 @@ impl<'net> StepwiseInference<'net> {
             t: 0,
             record_input_trains,
             input_is_spiking,
-            input_period,
         })
     }
 
@@ -225,12 +221,7 @@ impl<'net> StepwiseInference<'net> {
         } else if self.input_is_spiking {
             self.record.add_count(0, n_in as u64);
         }
-        self.net.step_with_token(
-            &self.buf,
-            t,
-            &mut self.record,
-            self.input_period.map(|p| t % p),
-        )?;
+        self.net.step(&self.buf, t, &mut self.record)?;
         self.record.end_step();
         self.t += 1;
         Ok(true)
@@ -372,7 +363,99 @@ impl EvalResult {
     }
 }
 
-/// Evaluates the network over (a prefix of) a dataset.
+/// Number of images a dataset evaluation covers, after validating `cfg`.
+fn image_count(dataset: &ImageDataset, cfg: &EvalConfig) -> Result<usize, SnnError> {
+    cfg.validate()?;
+    let n_images = cfg
+        .max_images
+        .map_or(dataset.len(), |m| m.min(dataset.len()));
+    if n_images == 0 {
+        return Err(SnnError::InvalidConfig("no images to evaluate".into()));
+    }
+    Ok(n_images)
+}
+
+/// Per-image outcomes summed over a range of images: correct
+/// predictions and cumulative spikes at each checkpoint, and per-layer
+/// spike counts over the full horizon.
+struct Tally {
+    correct: Vec<usize>,
+    spikes: Vec<u64>,
+    layer_counts: Vec<u64>,
+}
+
+impl Tally {
+    fn new(net: &SpikingNetwork, cfg: &EvalConfig) -> Self {
+        Tally {
+            correct: vec![0; cfg.checkpoints.len()],
+            spikes: vec![0; cfg.checkpoints.len()],
+            layer_counts: vec![0; net.spiking_layer_sizes().len()],
+        }
+    }
+
+    fn merge(&mut self, other: &Tally) {
+        for (a, b) in self.correct.iter_mut().zip(&other.correct) {
+            *a += b;
+        }
+        for (a, b) in self.spikes.iter_mut().zip(&other.spikes) {
+            *a += b;
+        }
+        for (a, b) in self.layer_counts.iter_mut().zip(&other.layer_counts) {
+            *a += b;
+        }
+    }
+
+    fn into_result(self, net: &SpikingNetwork, cfg: &EvalConfig, n_images: usize) -> EvalResult {
+        let mean = |x: f64| x / n_images as f64;
+        EvalResult {
+            scheme: cfg.scheme,
+            checkpoints: cfg.checkpoints.clone(),
+            accuracy_at: self.correct.iter().map(|&c| mean(c as f64)).collect(),
+            mean_spikes_at: self.spikes.iter().map(|&s| mean(s as f64)).collect(),
+            num_images: n_images,
+            num_neurons: net.num_neurons(),
+            layer_counts: self.layer_counts,
+        }
+    }
+}
+
+/// Runs images `lo..hi` one at a time through the scalar reference
+/// ([`infer_image`]) and tallies them.
+fn scalar_range(
+    net: &mut SpikingNetwork,
+    dataset: &ImageDataset,
+    cfg: &EvalConfig,
+    lo: usize,
+    hi: usize,
+) -> Result<Tally, SnnError> {
+    let mut tally = Tally::new(net, cfg);
+    for i in lo..hi {
+        let result = infer_image(net, dataset.image(i), cfg)?;
+        let label = dataset.label(i);
+        for (c, &p) in result.predictions.iter().enumerate() {
+            if p == label {
+                tally.correct[c] += 1;
+            }
+        }
+        for (s, &cs) in result.cum_spikes.iter().enumerate() {
+            tally.spikes[s] += cs;
+        }
+        for (lc, &c) in tally
+            .layer_counts
+            .iter_mut()
+            .zip(result.record.layer_counts())
+        {
+            *lc += c;
+        }
+    }
+    Ok(tally)
+}
+
+/// Evaluates the network over (a prefix of) a dataset, one image at a
+/// time, with the scalar reference engine. This is the reference the
+/// lockstep paths are checked against, not a fast path: it recomputes
+/// every stage every step. [`evaluate_dataset_batched`] gives
+/// bit-identical results faster.
 ///
 /// # Errors
 ///
@@ -382,48 +465,10 @@ pub fn evaluate_dataset(
     dataset: &ImageDataset,
     cfg: &EvalConfig,
 ) -> Result<EvalResult, SnnError> {
-    cfg.validate()?;
-    let n_images = cfg
-        .max_images
-        .map_or(dataset.len(), |m| m.min(dataset.len()));
-    if n_images == 0 {
-        return Err(SnnError::InvalidConfig("no images to evaluate".into()));
-    }
-    let mut correct = vec![0usize; cfg.checkpoints.len()];
-    let mut spikes = vec![0u64; cfg.checkpoints.len()];
-    let mut layer_counts = vec![0u64; net.spiking_layer_sizes().len()];
-    for i in 0..n_images {
-        let result = infer_image(net, dataset.image(i), cfg)?;
-        let label = dataset.label(i);
-        for (c, &p) in result.predictions.iter().enumerate() {
-            if p == label {
-                correct[c] += 1;
-            }
-        }
-        for (s, &cs) in result.cum_spikes.iter().enumerate() {
-            spikes[s] += cs;
-        }
-        for (lc, &c) in layer_counts.iter_mut().zip(result.record.layer_counts()) {
-            *lc += c;
-        }
-    }
-    Ok(EvalResult {
-        scheme: cfg.scheme,
-        checkpoints: cfg.checkpoints.clone(),
-        accuracy_at: correct
-            .iter()
-            .map(|&c| c as f64 / n_images as f64)
-            .collect(),
-        mean_spikes_at: spikes.iter().map(|&s| s as f64 / n_images as f64).collect(),
-        num_images: n_images,
-        num_neurons: net.num_neurons(),
-        layer_counts,
-    })
+    let n_images = image_count(dataset, cfg)?;
+    let tally = scalar_range(net, dataset, cfg, 0, n_images)?;
+    Ok(tally.into_result(net, cfg, n_images))
 }
-
-/// Per-worker partial sums: correct@checkpoint, spikes@checkpoint,
-/// per-layer counts.
-type PartialSums = (Vec<usize>, Vec<u64>, Vec<u64>);
 
 /// Evaluates images `lo..hi` against `net`, accumulating checkpointed
 /// partial sums — the shared body of every dataset-evaluation path.
@@ -432,10 +477,10 @@ type PartialSums = (Vec<usize>, Vec<u64>, Vec<u64>);
 /// lockstep chunks of up to `batch` lanes, so the engine the
 /// autotuner's width-1 probe measures is the engine that actually runs.
 /// Spike-train recording is only supported by the scalar engine, so
-/// [`RecordLevel::Trains`] configs replay the scalar [`infer_image`]
-/// loop instead (`EvalResult` carries counts either way, and per-lane
-/// lockstep results are bit-identical to scalar runs, so the choice
-/// never changes the outcome — only the wall-clock).
+/// [`RecordLevel::Trains`] configs run the scalar reference instead
+/// (`EvalResult` carries counts either way, and per-lane lockstep
+/// results are bit-identical to scalar runs, so the choice never
+/// changes the outcome — only the wall-clock).
 fn eval_range(
     net: &SpikingNetwork,
     dataset: &ImageDataset,
@@ -443,29 +488,11 @@ fn eval_range(
     lo: usize,
     hi: usize,
     batch: usize,
-) -> Result<PartialSums, SnnError> {
-    let mut correct = vec![0usize; cfg.checkpoints.len()];
-    let mut spikes = vec![0u64; cfg.checkpoints.len()];
-    let mut layer_counts = vec![0u64; net.spiking_layer_sizes().len()];
+) -> Result<Tally, SnnError> {
     if matches!(cfg.record, RecordLevel::Trains { .. }) {
-        let mut local = net.clone();
-        for i in lo..hi {
-            let result = infer_image(&mut local, dataset.image(i), cfg)?;
-            let label = dataset.label(i);
-            for (c, &p) in result.predictions.iter().enumerate() {
-                if p == label {
-                    correct[c] += 1;
-                }
-            }
-            for (s, &cs) in result.cum_spikes.iter().enumerate() {
-                spikes[s] += cs;
-            }
-            for (lc, &c) in layer_counts.iter_mut().zip(result.record.layer_counts()) {
-                *lc += c;
-            }
-        }
-        return Ok((correct, spikes, layer_counts));
+        return scalar_range(&mut net.clone(), dataset, cfg, lo, hi);
     }
+    let mut tally = Tally::new(net, cfg);
     let batch = batch.max(1);
     // The engine is sized for the *padded* width so ragged tail chunks
     // (and ragged user-chosen widths) can run the fixed-width kernels
@@ -485,37 +512,34 @@ fn eval_range(
             {
                 for lane in 0..width {
                     if run.prediction(lane) == dataset.label(start + lane) {
-                        correct[next_cp] += 1;
+                        tally.correct[next_cp] += 1;
                     }
-                    spikes[next_cp] += run.total_spikes(lane);
+                    tally.spikes[next_cp] += run.total_spikes(lane);
                 }
                 next_cp += 1;
             }
         }
         for lane in 0..width {
-            for (lc, c) in layer_counts.iter_mut().zip(run.layer_counts(lane)) {
+            for (lc, c) in tally.layer_counts.iter_mut().zip(run.layer_counts(lane)) {
                 *lc += c;
             }
         }
         start += width;
     }
-    Ok((correct, spikes, layer_counts))
+    Ok(tally)
 }
 
 /// Evaluates the network over (a prefix of) a dataset with `threads`
 /// workers, each stepping lockstep batches of up to `batch` images
 /// through its own [`BatchedNetwork`] — the `threads × batch`
 /// composition of the two dataset-evaluation speedups. Results are
-/// **bit-identical** to [`evaluate_dataset`] (per-image lockstep
-/// simulation is bit-exact versus sequential, and images are
-/// independent).
+/// **bit-identical** to the scalar reference [`evaluate_dataset`]
+/// (per-image lockstep simulation is bit-exact versus the reference,
+/// and images are independent).
 ///
 /// `threads <= 1` evaluates on the calling thread; `batch <= 1` runs
 /// the lockstep engine at width 1, which is what the autotuner's
-/// width-1 probe measures. Width 1 is slower than the scalar loop:
-/// three `exp_bench_record --quick` runs on a 2-vCPU x86-64 host put
-/// it at 0.72–0.83× the scalar loop's lane-steps/s on the MLP workload
-/// and 0.54–0.90× on `vgg_tiny`.
+/// width-1 probe measures.
 /// Ragged widths — a non-{1, 2, 4, 8, 16} `batch`, or the tail chunk of
 /// a shard — are padded to the next fixed lane width with dead lanes
 /// ([`BatchedStepwiseInference::new_padded`]), which beats the dynamic
@@ -534,15 +558,9 @@ pub fn evaluate_dataset_batched(
     threads: usize,
     batch: usize,
 ) -> Result<EvalResult, SnnError> {
-    cfg.validate()?;
-    let n_images = cfg
-        .max_images
-        .map_or(dataset.len(), |m| m.min(dataset.len()));
-    if n_images == 0 {
-        return Err(SnnError::InvalidConfig("no images to evaluate".into()));
-    }
+    let n_images = image_count(dataset, cfg)?;
     let threads = threads.clamp(1, n_images);
-    let results: Vec<Result<PartialSums, SnnError>> = if threads == 1 {
+    let results: Vec<Result<Tally, SnnError>> = if threads == 1 {
         vec![eval_range(net, dataset, cfg, 0, n_images, batch)]
     } else {
         let chunk = n_images.div_ceil(threads);
@@ -563,33 +581,11 @@ pub fn evaluate_dataset_batched(
         })
     };
 
-    let mut correct = vec![0usize; cfg.checkpoints.len()];
-    let mut spikes = vec![0u64; cfg.checkpoints.len()];
-    let mut layer_counts = vec![0u64; net.spiking_layer_sizes().len()];
+    let mut total = Tally::new(net, cfg);
     for r in results {
-        let (c, s, lc) = r?;
-        for (a, b) in correct.iter_mut().zip(&c) {
-            *a += b;
-        }
-        for (a, b) in spikes.iter_mut().zip(&s) {
-            *a += b;
-        }
-        for (a, b) in layer_counts.iter_mut().zip(&lc) {
-            *a += b;
-        }
+        total.merge(&r?);
     }
-    Ok(EvalResult {
-        scheme: cfg.scheme,
-        checkpoints: cfg.checkpoints.clone(),
-        accuracy_at: correct
-            .iter()
-            .map(|&c| c as f64 / n_images as f64)
-            .collect(),
-        mean_spikes_at: spikes.iter().map(|&s| s as f64 / n_images as f64).collect(),
-        num_images: n_images,
-        num_neurons: net.num_neurons(),
-        layer_counts,
-    })
+    Ok(total.into_result(net, cfg, n_images))
 }
 
 /// Inert: [`evaluate_dataset_batched`], ignoring `dispatch` (the engine
@@ -752,96 +748,6 @@ mod tests {
         assert_eq!(r.latency_to(0.75), Some((20, 9.0)));
         assert_eq!(r.latency_to(0.95), None);
         assert!((r.final_spiking_density() - 12.0 / 3000.0).abs() < 1e-12);
-    }
-
-    /// The seed implementation of `infer_image`, verbatim, before its
-    /// inner loop was extracted into `StepwiseInference`. Kept as the
-    /// reference for the step-for-step equivalence test below.
-    fn infer_image_seed(
-        net: &mut SpikingNetwork,
-        image: &[f32],
-        cfg: &EvalConfig,
-    ) -> Result<ImageResult, SnnError> {
-        cfg.validate()?;
-        if image.len() != net.input_len() {
-            return Err(SnnError::InputSizeMismatch {
-                expected: net.input_len(),
-                actual: image.len(),
-            });
-        }
-        net.reset();
-        let mut encoder = InputEncoder::new(cfg.scheme.input, image, cfg.phase_period)?;
-        // (The seed enabled first-stage PSP caching here; caching is now
-        // governed by the input-generation token and never changes
-        // values, so the replica stays step-for-step equivalent.)
-        let mut record = SpikeRecord::new(&net.spiking_layer_sizes(), cfg.record);
-        let record_input_trains = matches!(cfg.record, RecordLevel::Trains { .. })
-            && cfg.scheme.input != InputCoding::Real;
-
-        let mut buf = vec![0.0f32; net.input_len()];
-        let mut predictions = Vec::with_capacity(cfg.checkpoints.len());
-        let mut cum_spikes = Vec::with_capacity(cfg.checkpoints.len());
-        let mut next_cp = 0usize;
-        for t in 0..cfg.steps as u64 {
-            let n_in = encoder.step(t, &mut buf);
-            if record_input_trains {
-                record.observe_layer(0, t, &buf);
-            } else if cfg.scheme.input != InputCoding::Real {
-                record.add_count(0, n_in as u64);
-            }
-            net.step(&buf, t, &mut record)?;
-            record.end_step();
-            if next_cp < cfg.checkpoints.len() && (t + 1) as usize == cfg.checkpoints[next_cp] {
-                predictions.push(net.prediction());
-                cum_spikes.push(record.total_spikes());
-                next_cp += 1;
-            }
-        }
-        Ok(ImageResult {
-            checkpoints: cfg.checkpoints.clone(),
-            predictions,
-            cum_spikes,
-            record,
-        })
-    }
-
-    #[test]
-    fn stepwise_rebuild_matches_seed_path_exactly() {
-        let (mut dnn, train, test) = trained_setup();
-        // Phase and TTFS inputs exercise the periodic first-stage PSP
-        // cache (token = t mod period) against the seed's uncached
-        // per-step synapse pass; real input exercises the static token.
-        for scheme in [
-            CodingScheme::recommended(),
-            CodingScheme::new(InputCoding::Real, HiddenCoding::Rate),
-            CodingScheme::new(InputCoding::Rate, HiddenCoding::Phase),
-            CodingScheme::new(InputCoding::Ttfs, HiddenCoding::Burst),
-        ] {
-            let mut snn = snn_for(&mut dnn, &train, scheme);
-            for record in [
-                RecordLevel::Counts,
-                RecordLevel::Trains {
-                    fraction: 0.5,
-                    seed: 3,
-                },
-            ] {
-                let cfg = EvalConfig::new(scheme, 40)
-                    .with_checkpoint_every(7)
-                    .with_record(record);
-                for i in 0..3 {
-                    let a = infer_image_seed(&mut snn, test.image(i), &cfg).unwrap();
-                    let pot_seed = snn.output_potentials().to_vec();
-                    let b = infer_image(&mut snn, test.image(i), &cfg).unwrap();
-                    assert_eq!(a.checkpoints, b.checkpoints, "{scheme}");
-                    assert_eq!(a.predictions, b.predictions, "{scheme}");
-                    assert_eq!(a.cum_spikes, b.cum_spikes, "{scheme}");
-                    assert_eq!(a.record.layer_counts(), b.record.layer_counts(), "{scheme}");
-                    assert_eq!(a.record.steps(), b.record.steps(), "{scheme}");
-                    assert_eq!(a.record.trains(), b.record.trains(), "{scheme}");
-                    assert_eq!(pot_seed, snn.output_potentials(), "{scheme}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! previous presentation — a network that has been driven arbitrarily and
 //! then reset behaves bit-identically to a freshly cloned one.
 //!
-//! This is the invariant the serving worker pool relies on: each worker
-//! holds one long-lived network and resets it between requests instead of
-//! cloning per request.
+//! This is the invariant the scalar reference relies on:
+//! `StepwiseInference` (and so `infer_image` and `evaluate_dataset`)
+//! resets one long-lived network before every image instead of cloning
+//! it.
 
 use bsnn_core::layer::{SpikingLayer, ThresholdPolicy};
 use bsnn_core::network::SpikingNetwork;

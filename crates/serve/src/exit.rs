@@ -1,5 +1,6 @@
-//! The anytime early-exit engine: drives [`StepwiseInference`] under an
-//! [`ExitPolicy`].
+//! The anytime early-exit engine: drives the lockstep engine
+//! ([`BatchedStepwiseInference`], which serving workers run) or the
+//! scalar reference ([`StepwiseInference`]) under an [`ExitPolicy`].
 //!
 //! The paper's accuracy-versus-time-step curves show most images are
 //! classified correctly long before the simulation horizon; the margin

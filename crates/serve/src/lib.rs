@@ -9,8 +9,9 @@
 //! request-serving engine:
 //!
 //! * **Worker pool** ([`runtime::ServeRuntime`]) — persistent threads,
-//!   each holding a reusable [`bsnn_core::SpikingNetwork`] clone whose
-//!   membrane state is reset in place between requests (no per-request
+//!   each holding a reusable lockstep engine
+//!   ([`bsnn_core::batch::BatchedNetwork`]) per model whose state
+//!   `begin_batch` resets in place between batches (no per-request
 //!   allocation of layer state).
 //! * **Adaptive micro-batching** ([`queue::BatchQueue`]) — a bounded
 //!   MPMC queue; workers collect up to `max_batch` requests or wait
@@ -20,8 +21,10 @@
 //! * **Anytime early-exit inference** ([`exit::run_with_policy`]) — each
 //!   request carries an [`request::ExitPolicy`]: fixed steps, confidence
 //!   margin with patience (stop once the output margin has been stable
-//!   for `patience` checkpoints), or a spike budget. Built on the
-//!   incremental [`bsnn_core::StepwiseInference`] API.
+//!   for `patience` checkpoints), or a spike budget. Workers run it per
+//!   lane on the incremental [`bsnn_core::BatchedStepwiseInference`]
+//!   API ([`exit::run_batch_with_policies_each`]); `run_with_policy` runs
+//!   one request on the scalar reference engine.
 //! * **Model registry** ([`registry::ModelRegistry`]) — snapshot-backed,
 //!   hot-swappable by name with epoch-counted `Arc` swap: in-flight
 //!   requests finish on the model they started with.
@@ -30,7 +33,7 @@
 //!   [`bsnn_core::autotune`], shipped in snapshot metadata, or set via
 //!   [`registry::ModelRegistry::install_with_batch`]); workers split
 //!   popped micro-batches to each model's width, so event-skip-bound
-//!   models run scalar while conv models run wide.
+//!   models run narrow while conv models run wide.
 //! * **Metrics** ([`metrics::ServeMetrics`]) — request counts,
 //!   p50/p95/p99 latency, time steps and spikes per request, batch
 //!   occupancy, and queue depth.

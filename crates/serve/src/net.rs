@@ -183,7 +183,9 @@ fn exit_reason_from_code(code: u8) -> Result<ExitReason, WireError> {
 ///
 /// # Errors
 ///
-/// [`WireError::FieldTooLarge`] if the model name exceeds 255 bytes.
+/// [`WireError::FieldTooLarge`] if the model name exceeds 255 bytes or
+/// an exit-policy step count exceeds `u32::MAX`; `buf` is then left
+/// untouched.
 pub fn encode_request(
     buf: &mut Vec<u8>,
     request_id: u64,
@@ -201,7 +203,9 @@ pub fn encode_request(
 ///
 /// # Errors
 ///
-/// [`WireError::FieldTooLarge`] if the model name exceeds 255 bytes.
+/// [`WireError::FieldTooLarge`] if the model name exceeds 255 bytes or
+/// an exit-policy step count exceeds `u32::MAX`; `buf` is then left
+/// untouched.
 pub fn encode_request_with_deadline(
     buf: &mut Vec<u8>,
     request_id: u64,
@@ -215,6 +219,20 @@ pub fn encode_request_with_deadline(
     }
     if image.len() > u32::MAX as usize {
         return Err(WireError::FieldTooLarge("image"));
+    }
+    // Every step count travels as a u32.
+    let step_fields = match *policy {
+        ExitPolicy::Fixed { steps } => [steps, 0, 0],
+        ExitPolicy::ConfidenceMargin {
+            patience,
+            check_every,
+            max_steps,
+            ..
+        } => [patience, check_every, max_steps],
+        ExitPolicy::SpikeBudget { max_steps, .. } => [max_steps, 0, 0],
+    };
+    if step_fields.iter().any(|&n| n > u32::MAX as usize) {
+        return Err(WireError::FieldTooLarge("exit policy"));
     }
     let at = reserve_frame(buf);
     buf.push(KIND_REQUEST);
@@ -1975,6 +1993,52 @@ mod tests {
             encode_request(&mut buf, 1, &long, &ExitPolicy::Fixed { steps: 1 }, &[]),
             Err(WireError::FieldTooLarge("model name"))
         );
+        // Each exit-policy step count travels as a u32: one past
+        // `u32::MAX` is refused before a byte is written, and `u32::MAX`
+        // itself round-trips.
+        let with_field = |n: usize| {
+            [
+                ExitPolicy::Fixed { steps: n },
+                ExitPolicy::ConfidenceMargin {
+                    margin: 0.5,
+                    patience: n,
+                    check_every: 1,
+                    max_steps: 1,
+                },
+                ExitPolicy::ConfidenceMargin {
+                    margin: 0.5,
+                    patience: 1,
+                    check_every: n,
+                    max_steps: 1,
+                },
+                ExitPolicy::ConfidenceMargin {
+                    margin: 0.5,
+                    patience: 1,
+                    check_every: 1,
+                    max_steps: n,
+                },
+                ExitPolicy::SpikeBudget {
+                    max_spikes: 1,
+                    max_steps: n,
+                },
+            ]
+        };
+        for policy in with_field(u32::MAX as usize + 8) {
+            let mut buf = Vec::new();
+            assert_eq!(
+                encode_request(&mut buf, 1, "m", &policy, &[0.5]),
+                Err(WireError::FieldTooLarge("exit policy")),
+                "{policy:?}"
+            );
+            assert!(buf.is_empty(), "{policy:?} wrote {} bytes", buf.len());
+        }
+        for policy in with_field(u32::MAX as usize) {
+            let mut buf = Vec::new();
+            encode_request(&mut buf, 1, "m", &policy, &[0.5]).unwrap();
+            let total = frame_ready(&buf, 1 << 20).unwrap().unwrap();
+            let wire = decode_request(&buf[4..total]).unwrap();
+            assert_eq!(wire.request.policy, policy);
+        }
     }
 
     #[test]

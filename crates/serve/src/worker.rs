@@ -6,9 +6,9 @@
 //! friendly SoA kernels in `bsnn-core` make the arithmetic itself
 //! batched, not just the queue synchronization. A model with a measured
 //! [`preferred_batch`](crate::registry::ModelEntry::preferred_batch) is
-//! further split into sub-batches of that width: lockstep *loses* to
-//! scalar on event-skip-bound models (small MLPs), so the right width
-//! is per model, not per queue pop. Per-request [`crate::ExitPolicy`]s
+//! further split into sub-batches of that width: wide lockstep batches
+//! gain little on event-skip-bound models (small MLPs), so the right
+//! width is per model, not per queue pop. Per-request [`crate::ExitPolicy`]s
 //! are evaluated every step, so early-exiting lanes retire (freeze,
 //! stop spiking) while the rest of the batch continues.
 

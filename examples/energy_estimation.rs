@@ -8,7 +8,7 @@
 use burst_snn::analysis::{EnergyModel, WorkloadMetrics};
 use burst_snn::core::coding::{CodingScheme, HiddenCoding, InputCoding};
 use burst_snn::core::convert::{convert, ConversionConfig};
-use burst_snn::core::simulator::{evaluate_dataset, EvalConfig};
+use burst_snn::core::simulator::{evaluate_dataset_batched, EvalConfig};
 use burst_snn::data::SynthSpec;
 use burst_snn::dnn::models;
 use burst_snn::dnn::train::{TrainConfig, Trainer};
@@ -45,13 +45,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut workloads = Vec::new();
     for (label, scheme) in methods {
         let cfg = ConversionConfig::new(scheme).with_vth(0.125);
-        let mut snn = convert(&mut dnn, &norm_batch, &cfg)?;
-        let eval = evaluate_dataset(
-            &mut snn,
+        let snn = convert(&mut dnn, &norm_batch, &cfg)?;
+        let eval = evaluate_dataset_batched(
+            &snn,
             &test,
             &EvalConfig::new(scheme, steps)
                 .with_checkpoint_every(8)
                 .with_max_images(40),
+            1,
+            16,
         )?;
         let (latency, spikes) = eval
             .latency_to(target)

@@ -6,7 +6,7 @@
 
 use burst_snn::core::coding::{CodingScheme, HiddenCoding, InputCoding};
 use burst_snn::core::convert::{convert, ConversionConfig};
-use burst_snn::core::simulator::{evaluate_dataset, EvalConfig};
+use burst_snn::core::simulator::{evaluate_dataset_batched, EvalConfig};
 use burst_snn::data::SynthSpec;
 use burst_snn::dnn::models;
 use burst_snn::dnn::train::{TrainConfig, Trainer};
@@ -41,13 +41,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CodingScheme::new(InputCoding::Real, HiddenCoding::Rate),
     ] {
         let cfg = ConversionConfig::new(scheme).with_vth(0.125);
-        let mut snn = convert(&mut dnn, &norm_batch, &cfg)?;
-        let eval = evaluate_dataset(
-            &mut snn,
+        let snn = convert(&mut dnn, &norm_batch, &cfg)?;
+        // One thread stepping lockstep batches of 16 images; the results
+        // are bit-identical to the scalar reference `evaluate_dataset`.
+        let eval = evaluate_dataset_batched(
+            &snn,
             &test,
             &EvalConfig::new(scheme, steps)
                 .with_checkpoint_every(16)
                 .with_max_images(50),
+            1,
+            16,
         )?;
         let latency = eval
             .latency_to(report.test_accuracy - 0.02)
