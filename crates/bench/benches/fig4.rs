@@ -20,9 +20,8 @@ fn bench_curves(c: &mut Criterion) {
     let cfg = ConversionConfig::new(scheme).with_vth(0.125);
     let mut snn = convert(&mut dnn, &norm, &cfg).expect("conversion");
 
-    // Width 4, not 5: odd widths take the slow dynamic dense path that
-    // the autotuner never picks — the bench should track the fixed-width
-    // kernels production actually runs (5 images chunk as [4, 1]).
+    // Width 4: the 5 images chunk as [4, 1], both fixed lane widths, so
+    // the bench tracks the fixed-width kernels production runs.
     let mut group = c.benchmark_group("fig4_accuracy_curve_batch4_5imgs_64steps");
     group.sample_size(10);
     for (label, every) in [

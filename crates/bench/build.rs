@@ -1,6 +1,6 @@
-//! Captures the toolchain identity at compile time so the autotune cache
-//! can salt its keys with it: policies measured under one codegen must
-//! not be reused under another (rustc upgrade, `-C target-cpu` change).
+//! Captures the rustc version at compile time, so `exp_bench_record`
+//! can write the toolchain that produced its numbers into both BENCH
+//! JSONs.
 
 use std::process::Command;
 
@@ -15,11 +15,7 @@ fn main() {
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown-rustc".into());
     println!("cargo:rustc-env=BSNN_RUSTC_VERSION={version}");
-
-    // The enabled target features of the crate being built (cargo sets
-    // this for build scripts); a `-C target-feature`/`target-cpu` change
-    // shows up here and must invalidate cached measurements.
-    let features = std::env::var("CARGO_CFG_TARGET_FEATURE").unwrap_or_default();
-    println!("cargo:rustc-env=BSNN_TARGET_FEATURES={features}");
-    println!("cargo:rerun-if-env-changed=CARGO_CFG_TARGET_FEATURE");
+    // A toolchain change rebuilds everything anyway; only an edit here
+    // needs a rerun.
+    println!("cargo:rerun-if-changed=build.rs");
 }

@@ -5,7 +5,7 @@
 //! * max versus outlier-robust percentile weight normalization,
 //! * phase period k sweep.
 
-use bsnn_bench::{evaluate_autotuned, prepare_task, print_table, Profile};
+use bsnn_bench::{evaluate_lockstep, prepare_task, print_table, Profile};
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::convert::{convert, ConversionConfig, Normalization};
 use bsnn_core::simulator::EvalConfig;
@@ -32,7 +32,7 @@ fn main() {
             .with_checkpoint_every((profile.steps / 16).max(1))
             .with_max_images(profile.eval_images)
             .with_phase_period(cfg.phase_period);
-        evaluate_autotuned(&snn, &setup.test, &eval_cfg).0
+        evaluate_lockstep(&snn, &setup.test, &eval_cfg)
     };
     let fmt_row = |label: String, eval: &bsnn_core::simulator::EvalResult| {
         let (latency, spikes) = match eval.latency_to(target) {

@@ -21,8 +21,6 @@
 //! records the workload shape alongside every figure so comparisons
 //! stay apples-to-apples.
 
-use bsnn_bench::autotune_cached;
-use bsnn_core::autotune::AutotuneConfig;
 use bsnn_core::batch::{BatchedNetwork, BatchedStepwiseInference};
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::convert::{convert, ConversionConfig};
@@ -169,8 +167,8 @@ fn core_record(
 }
 
 /// One workload's end-to-end dataset-evaluation record (images/s for
-/// parallel width 1 vs batched×parallel at the autotuned width) as a
-/// JSON object string.
+/// parallel width 1 vs batched×parallel at width 16) as a JSON object
+/// string.
 fn eval_record(
     name: &str,
     net: &SpikingNetwork,
@@ -180,14 +178,13 @@ fn eval_record(
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cfg = EvalConfig::new(scheme, SIM_STEPS);
     let n_images = test.len();
-    let policy = autotune_cached(net, scheme, &AutotuneConfig::default());
+    let width = 16;
     let par = best_secs(3, || {
         std::hint::black_box(evaluate_dataset_batched(net, test, &cfg, threads, 1).expect("eval"));
     });
     let batched = best_secs(3, || {
         std::hint::black_box(
-            evaluate_dataset_batched(net, test, &cfg, threads, policy.preferred_batch)
-                .expect("eval"),
+            evaluate_dataset_batched(net, test, &cfg, threads, width).expect("eval"),
         );
     });
     let ips = |secs: f64| n_images as f64 / secs;
@@ -196,15 +193,15 @@ fn eval_record(
         s,
         concat!(
             "{{\"workload\": \"{}\", \"images\": {}, \"steps\": {}, \"threads\": {}, ",
-            "\"preferred_batch\": {}, \"images_per_sec\": {{",
-            "\"parallel\": {:.1}, \"batched_autotuned\": {:.1}}}, ",
+            "\"width\": {}, \"images_per_sec\": {{",
+            "\"parallel\": {:.1}, \"batched16\": {:.1}}}, ",
             "\"speedup_batched_vs_parallel\": {:.2}}}"
         ),
         name,
         n_images,
         SIM_STEPS,
         threads,
-        policy.preferred_batch,
+        width,
         ips(par),
         ips(batched),
         par / batched,
@@ -213,7 +210,6 @@ fn eval_record(
 }
 
 /// One serving configuration's record as a JSON object string.
-#[allow(clippy::too_many_arguments)]
 fn serve_record(
     name: &str,
     snn: &SpikingNetwork,
@@ -222,16 +218,9 @@ fn serve_record(
     workers: usize,
     max_batch: usize,
     requests: usize,
-    autotune: bool,
 ) -> String {
     let registry = Arc::new(ModelRegistry::new());
-    if autotune {
-        registry
-            .install_autotuned("digits", snn.clone(), scheme, 8, &AutotuneConfig::default())
-            .expect("autotuned install");
-    } else {
-        registry.install("digits", snn.clone(), scheme, 8);
-    }
+    registry.install("digits", snn.clone(), scheme, 8);
     let runtime = ServeRuntime::start(
         ServeConfig {
             workers,
@@ -285,7 +274,6 @@ fn serve_record(
         s,
         concat!(
             "{{\"workload\": \"{}\", \"workers\": {}, \"max_batch\": {}, ",
-            "\"batch_policy\": \"{}\", ",
             "\"requests\": {}, \"throughput_rps\": {:.0}, ",
             "\"latency_us\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}}, ",
             "\"mean_steps_per_req\": {:.1}, \"mean_spikes_per_req\": {:.0}, ",
@@ -296,7 +284,6 @@ fn serve_record(
         name,
         workers,
         max_batch,
-        if autotune { "autotuned" } else { "fixed" },
         report.completed,
         report.throughput_rps,
         metrics.latency_us_p50,
@@ -339,6 +326,12 @@ fn main() {
             }
         }
     }
+    // Create the output directory before a minute of measuring, not
+    // fail to write into it afterwards.
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        eprintln!("cannot create --out directory `{out_dir}`: {e}");
+        std::process::exit(2);
+    }
     // --quick: less training and smaller serve waves; the simulation
     // measurements themselves stay full-length (they are the floors).
     let (mlp_epochs, cnn_epochs) = if quick { (2, 1) } else { (6, 4) };
@@ -360,7 +353,7 @@ fn main() {
     let rustc_version = env!("BSNN_RUSTC_VERSION");
     let conv_instance = bsnn_core::synapse::conv_instance();
     let core = format!(
-        "{{\n  \"schema\": \"bsnn-bench-core-v9\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"conv_instance\": \"{conv_instance}\",\n  \"note\": \"lane-steps/s = images × time-steps simulated per wall-clock second; batch* rows run the lockstep engine (dense kernels plus the periodic-input PSP cache) at that width, best of {SIM_REPS} reps (batch16: best of 3 rounds); speedup_batch16_vs_batch1 is the CI floor metric; stage_profile_batch16 comes from the ProfileSink of the best batch-16 round: each stage's mean input density, and its dense-kernel step count, PSP-cache step count and kernel_ms of stage wall time, each summed over all {SIM_REPS} reps of that round (per-run counts are these divided by {SIM_REPS}); dataset_eval = full evaluate_dataset_batched passes at width 1 (parallel) and at the autotuned width (batched_autotuned)\",\n  \"workloads\": [\n    {},\n    {}\n  ],\n  \"dataset_eval\": [\n    {},\n    {}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"bsnn-bench-core-v10\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"conv_instance\": \"{conv_instance}\",\n  \"note\": \"lane-steps/s = images × time-steps simulated per wall-clock second; batch* rows run the lockstep engine (dense kernels plus the periodic-input PSP cache) at that width, best of {SIM_REPS} reps (batch16: best of 3 rounds); speedup_batch16_vs_batch1 is the CI floor metric; stage_profile_batch16 comes from the ProfileSink of the best batch-16 round: each stage's mean input density, and its dense-kernel step count, PSP-cache step count and kernel_ms of stage wall time, each summed over all {SIM_REPS} reps of that round (per-run counts are these divided by {SIM_REPS}); dataset_eval = full evaluate_dataset_batched passes on all cores at width 1 (parallel) and at width 16 (batched16), best of 3 each\",\n  \"workloads\": [\n    {},\n    {}\n  ],\n  \"dataset_eval\": [\n    {},\n    {}\n  ]\n}}\n",
         mlp_rec.json,
         cnn_rec.json,
         eval_record("mlp_144_32_10", &mlp, &mlp_test, mlp_scheme),
@@ -387,13 +380,11 @@ fn main() {
 
     eprintln!("measuring serving throughput...");
     let serve = format!(
-        "{{\n  \"schema\": \"bsnn-bench-serve-v8\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"conv_instance\": \"{conv_instance}\",\n  \"note\": \"one closed-loop wave per config (cold worker engines included), confidence-margin early exit (horizon 96); latency percentiles are within-bucket interpolated log-bucket ranks; batch_policy=autotuned splits popped micro-batches to the model's measured width; ragged lockstep chunks are padded to fixed widths with dead lanes; stage_profile comes from the engine ProfileSink (kernel_ms = stage wall time over the whole wave, cached_steps = PSP-cache replays)\",\n  \"configs\": [\n    {},\n    {},\n    {},\n    {},\n    {},\n    {}\n  ]\n}}\n",
-        serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 1, mlp_wave, false),
-        serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 8, mlp_wave, false),
-        serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 8, mlp_wave, true),
-        serve_record("vgg_tiny_1x12x12", &cnn, cnn_scheme, &cnn_images, 1, 1, cnn_wave, false),
-        serve_record("vgg_tiny_1x12x12", &cnn, cnn_scheme, &cnn_images, 1, 16, cnn_wave, false),
-        serve_record("vgg_tiny_1x12x12", &cnn, cnn_scheme, &cnn_images, 1, 16, cnn_wave, true),
+        "{{\n  \"schema\": \"bsnn-bench-serve-v9\",\n  \"rustc_version\": \"{rustc_version}\",\n  \"conv_instance\": \"{conv_instance}\",\n  \"note\": \"one closed-loop wave per config (cold worker engines included), confidence-margin early exit (horizon 96); latency percentiles are within-bucket interpolated log-bucket ranks; workers run each popped same-model group at its popped width (at most max_batch); ragged lockstep chunks are padded to fixed widths with dead lanes; stage_profile comes from the engine ProfileSink (kernel_ms = stage wall time over the whole wave, cached_steps = PSP-cache replays)\",\n  \"configs\": [\n    {},\n    {},\n    {},\n    {}\n  ]\n}}\n",
+        serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 1, mlp_wave),
+        serve_record("mlp_144_32_10", &mlp, mlp_scheme, &mlp_images, 4, 8, mlp_wave),
+        serve_record("vgg_tiny_1x12x12", &cnn, cnn_scheme, &cnn_images, 1, 1, cnn_wave),
+        serve_record("vgg_tiny_1x12x12", &cnn, cnn_scheme, &cnn_images, 1, 16, cnn_wave),
     );
     let serve_path = format!("{out_dir}/BENCH_serve.json");
     std::fs::write(&serve_path, &serve).expect("write BENCH_serve.json");

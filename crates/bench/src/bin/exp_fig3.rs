@@ -8,7 +8,7 @@
 //! phase-burst needs the fewest spikes among schemes that reach the
 //! target; real-rate's latency grows steeply as the target tightens.
 
-use bsnn_bench::{evaluate_autotuned, prepare_task, print_table, Profile};
+use bsnn_bench::{evaluate_lockstep, prepare_task, print_table, Profile};
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::convert::{convert, ConversionConfig};
 use bsnn_core::simulator::EvalConfig;
@@ -37,7 +37,7 @@ fn main() {
         let eval_cfg = EvalConfig::new(scheme, profile.steps)
             .with_checkpoint_every((profile.steps / 32).max(1))
             .with_max_images(profile.eval_images);
-        let (eval, _) = evaluate_autotuned(&snn, &setup.test, &eval_cfg);
+        let eval = evaluate_lockstep(&snn, &setup.test, &eval_cfg);
         let mut row = vec![scheme.to_string()];
         for (_, target) in &targets {
             match eval.latency_to(*target) {

@@ -5,7 +5,7 @@
 //! coding converges fastest; rate-phase is the worst curve; phase-burst
 //! and real-burst track the DNN ceiling earliest.
 
-use bsnn_bench::{evaluate_autotuned, prepare_task, print_table, Profile};
+use bsnn_bench::{evaluate_lockstep, prepare_task, print_table, Profile};
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::convert::{convert, ConversionConfig};
 use bsnn_core::simulator::EvalConfig;
@@ -30,7 +30,7 @@ fn main() {
         let eval_cfg = EvalConfig::new(scheme, profile.steps)
             .with_checkpoint_every(every)
             .with_max_images(profile.eval_images);
-        let (eval, _) = evaluate_autotuned(&snn, &setup.test, &eval_cfg);
+        let eval = evaluate_lockstep(&snn, &setup.test, &eval_cfg);
         if headers.len() == 1 {
             headers.extend(eval.checkpoints.iter().map(|c| format!("t={c}")));
         }

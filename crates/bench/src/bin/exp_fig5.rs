@@ -27,9 +27,7 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    let mut spread: Vec<(HiddenCoding, f64)> = Vec::new();
-    let mut per_hidden: std::collections::HashMap<String, Vec<f64>> =
-        std::collections::HashMap::new();
+    let mut log_rates: Vec<(HiddenCoding, f64)> = Vec::new();
     for scheme in CodingScheme::all() {
         let cfg = ConversionConfig::new(scheme).with_vth(0.125);
         let mut snn = convert(&mut setup.dnn, &norm, &cfg).expect("conversion");
@@ -47,10 +45,7 @@ fn main() {
             all_trains.extend(trains.into_iter().filter(|t| t.neuron.layer > 0));
         }
         let pop = population_firing(&all_trains);
-        per_hidden
-            .entry(scheme.hidden.to_string())
-            .or_default()
-            .push(pop.mean_log_rate);
+        log_rates.push((scheme.hidden, pop.mean_log_rate));
         rows.push(vec![
             scheme.to_string(),
             format!("{:.3}", pop.mean_log_rate),
@@ -61,18 +56,13 @@ fn main() {
     print_table(&["Scheme", "<log λ>", "<κ>", "neurons"], &rows);
 
     println!("\nPer-hidden-coding spread of <log λ> across input codings (flexibility):");
-    for (hidden, rates) in &per_hidden {
-        let min = rates.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = rates.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        spread.push((
-            match hidden.as_str() {
-                "rate" => HiddenCoding::Rate,
-                "phase" => HiddenCoding::Phase,
-                _ => HiddenCoding::Burst,
-            },
-            max - min,
-        ));
-        println!("  {hidden:>6}: spread {:.3}", max - min);
+    for hidden in HiddenCoding::ALL {
+        let rates = log_rates
+            .iter()
+            .filter(|(h, _)| *h == hidden)
+            .map(|(_, r)| *r);
+        let min = rates.clone().fold(f64::INFINITY, f64::min);
+        let max = rates.fold(f64::NEG_INFINITY, f64::max);
+        println!("  {:>6}: spread {:.3}", hidden.name(), max - min);
     }
-    let _ = spread;
 }

@@ -7,7 +7,7 @@
 //! coding generates the most spikes; phase-burst reaches DNN accuracy
 //! with fewer steps than the horizon.
 
-use bsnn_bench::{evaluate_autotuned, prepare_task, print_table, Profile};
+use bsnn_bench::{evaluate_lockstep, prepare_task, print_table, Profile};
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::convert::{convert, ConversionConfig};
 use bsnn_core::simulator::EvalConfig;
@@ -36,8 +36,7 @@ fn main() {
         let eval_cfg = EvalConfig::new(scheme, profile.steps)
             .with_checkpoint_every((profile.steps / 16).max(1))
             .with_max_images(profile.eval_images);
-        let (eval, policy) = evaluate_autotuned(&snn, &setup.test, &eval_cfg);
-        eprintln!("[{scheme}] lockstep width {}", policy.preferred_batch);
+        let eval = evaluate_lockstep(&snn, &setup.test, &eval_cfg);
         let (latency, spikes_at) = match eval.latency_to(target) {
             Some((t, s)) => (format!("{t}"), s),
             None => (format!(">{}", profile.steps), eval.final_mean_spikes()),

@@ -16,7 +16,7 @@
 //! spike counts; smaller v_th converges faster but spikes more.
 
 use bsnn_analysis::{EnergyModel, WorkloadMetrics};
-use bsnn_bench::{evaluate_autotuned, prepare_task, print_table, Profile};
+use bsnn_bench::{evaluate_lockstep, prepare_task, print_table, Profile};
 use bsnn_core::coding::{CodingScheme, HiddenCoding, InputCoding};
 use bsnn_core::convert::{convert, ConversionConfig};
 use bsnn_core::simulator::EvalConfig;
@@ -94,7 +94,7 @@ fn main() {
             let eval_cfg = EvalConfig::new(m.scheme, profile.steps)
                 .with_checkpoint_every((profile.steps / 16).max(1))
                 .with_max_images(profile.eval_images);
-            let (eval, _) = evaluate_autotuned(&snn, &setup.test, &eval_cfg);
+            let eval = evaluate_lockstep(&snn, &setup.test, &eval_cfg);
             let (latency, spikes) = match eval.latency_to(target) {
                 Some((t, s)) => (t, s),
                 None => (profile.steps, eval.final_mean_spikes()),

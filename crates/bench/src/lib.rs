@@ -20,7 +20,6 @@
 //! the default `quick` profile finishes each binary in well under a
 //! minute on a laptop CPU.
 
-use bsnn_core::autotune::{autotune_batch, AutotuneConfig, BatchPolicy, BatchProbe};
 use bsnn_core::simulator::{evaluate_dataset_batched, EvalConfig, EvalResult};
 use bsnn_core::SpikingNetwork;
 use bsnn_data::{ImageDataset, SynthSpec, SyntheticTask};
@@ -37,168 +36,25 @@ pub fn eval_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Evaluates `net` over the dataset with the `threads × batch`
-/// composition, at the lockstep width the model's own autotuning probe
-/// picks — the default evaluation path of
-/// every `exp_*` binary. Returns the result together with the measured
-/// [`BatchPolicy`] so reports can cite the width the numbers were
-/// produced at (bit-identical to the sequential path at any width, so
-/// the choice affects only wall-clock). The probe itself is cached (see
-/// [`autotune_cached`]), so repeated binaries skip the ~0.2 s
-/// measurement.
+/// Evaluates `net` over the dataset on [`eval_threads`] threads, each
+/// stepping lockstep batches of 16 images — the default evaluation path
+/// of every `exp_*` binary. Results are bit-identical to the scalar
+/// reference at any width; the width sets only the wall time. 16 is the
+/// width the examples, the `table2` bench and the benchmark's eval
+/// workload use: on a 2-vCPU x86-64 host widths 8 and 16 ran level on
+/// both the MLP 144-32-10 and `vgg_tiny`, and narrower widths ran
+/// slower.
 ///
 /// # Panics
 ///
-/// Panics if the autotuning probe or the evaluation itself fails —
-/// experiment binaries treat both as fatal.
-pub fn evaluate_autotuned(
+/// Panics if the evaluation fails — experiment binaries treat that as
+/// fatal.
+pub fn evaluate_lockstep(
     net: &SpikingNetwork,
     dataset: &ImageDataset,
     cfg: &EvalConfig,
-) -> (EvalResult, BatchPolicy) {
-    let probe_cfg = AutotuneConfig {
-        phase_period: cfg.phase_period,
-        ..AutotuneConfig::default()
-    };
-    let policy = autotune_cached(net, cfg.scheme, &probe_cfg);
-    let eval = evaluate_dataset_batched(net, dataset, cfg, eval_threads(), policy.preferred_batch)
-        .expect("dataset evaluation");
-    (eval, policy)
-}
-
-/// 64-bit FNV-1a over `bytes`, continuing from `h` (seed the first call
-/// with [`FNV_OFFSET`]). Hand-rolled so cache keys are stable across
-/// toolchains, unlike `DefaultHasher`.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a64(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// [`autotune_batch`], cached under `target/bsnn_cache/` keyed by
-/// (model content, coding scheme, [`AutotuneConfig`]): the probe is a
-/// wall-clock measurement of ~0.2 s per (model, scheme), and the exp_*
-/// binaries re-create bit-identical models from cached trained weights
-/// on every run, so re-probing them is pure startup cost. Any change to
-/// the model bytes or the probe configuration changes the key; a
-/// corrupt or unparsable cache entry is ignored and re-measured. The
-/// cache records measurements of *this machine* — `target/` is not
-/// meant to travel.
-///
-/// # Panics
-///
-/// Panics if the underlying probe fails (experiment binaries treat that
-/// as fatal).
-pub fn autotune_cached(
-    net: &SpikingNetwork,
-    scheme: bsnn_core::coding::CodingScheme,
-    cfg: &AutotuneConfig,
-) -> BatchPolicy {
-    autotune_cached_salted(net, scheme, cfg, &toolchain_salt())
-}
-
-/// The toolchain identity folded into every autotune cache key: the
-/// rustc that compiled this binary plus its enabled target features
-/// (both captured by `build.rs`), and the conv kernel instance this CPU
-/// runs ([`bsnn_core::synapse::conv_instance`], chosen at run time). A
-/// toolchain bump, a `-C target-cpu`/`target-feature` change or a
-/// different instance alters the relative cost of scalar vs lockstep
-/// kernels, so measurements made under the old ones must miss the
-/// cache, not silently load.
-fn toolchain_salt() -> String {
-    format!(
-        "{}|{}|{}",
-        env!("BSNN_RUSTC_VERSION"),
-        env!("BSNN_TARGET_FEATURES"),
-        bsnn_core::synapse::conv_instance()
-    )
-}
-
-/// The on-disk cache location for a (model, scheme, config, salt)
-/// combination; `None` if the model cannot be serialized (then nothing
-/// is cached).
-fn autotune_cache_path(
-    net: &SpikingNetwork,
-    scheme: bsnn_core::coding::CodingScheme,
-    cfg: &AutotuneConfig,
-    salt: &str,
-) -> Option<PathBuf> {
-    let mut model_bytes = Vec::new();
-    bsnn_core::snapshot::save_network(net, &mut model_bytes).ok()?;
-    // "at7" salts the key with the cache-entry format generation: bump
-    // it when the probe or the kernels change meaningfully, so stale
-    // measurements from older binaries are not reused (at3 = int8 quant
-    // kernels + quant_thresholds/quant_eligible lines + accuracy gate;
-    // at4 = output-stationary conv kernel at widths 4, 8 and 16;
-    // at5 = sparse kernel removed, no `thresholds` line;
-    // at6 = AVX conv instance at widths 8 and 16, salt names the instance;
-    // at7 = packed and int8 kernels removed, no crossover lines).
-    let tag = format!(
-        "at7|{salt}|{scheme}|{:?}|{}|{}|{}|{}|{}",
-        cfg.widths, cfg.steps, cfg.reps, cfg.min_gain, cfg.seed, cfg.phase_period
-    );
-    let key = fnv1a64(tag.as_bytes(), fnv1a64(&model_bytes, FNV_OFFSET));
-    Some(cache_dir().join(format!("autotune-{key:016x}.txt")))
-}
-
-fn autotune_cached_salted(
-    net: &SpikingNetwork,
-    scheme: bsnn_core::coding::CodingScheme,
-    cfg: &AutotuneConfig,
-    salt: &str,
-) -> BatchPolicy {
-    let path = autotune_cache_path(net, scheme, cfg, salt);
-    if let Some(policy) = path.as_deref().and_then(read_autotune_cache) {
-        return policy;
-    }
-    let policy = autotune_batch(net, scheme, cfg).expect("autotune probe");
-    if let Some(path) = path {
-        // Write-then-rename so a concurrent exp_* binary (or a kill
-        // mid-write) can never observe a truncated entry — a prefix
-        // like "probe 16 4125." still parses, with wrong values.
-        let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-        if fs::write(&tmp, render_autotune_cache(&policy)).is_ok() {
-            let _ = fs::rename(&tmp, &path);
-        }
-    }
-    policy
-}
-
-fn render_autotune_cache(policy: &BatchPolicy) -> String {
-    let mut s = format!("preferred_batch {}\n", policy.preferred_batch);
-    for p in &policy.probes {
-        s.push_str(&format!("probe {} {}\n", p.width, p.lane_steps_per_sec));
-    }
-    s
-}
-
-fn read_autotune_cache(path: &std::path::Path) -> Option<BatchPolicy> {
-    let text = fs::read_to_string(path).ok()?;
-    let mut preferred_batch = None;
-    let mut probes = Vec::new();
-    for line in text.lines() {
-        let mut parts = line.split_whitespace();
-        match parts.next()? {
-            "preferred_batch" => preferred_batch = Some(parts.next()?.parse().ok()?),
-            "probe" => probes.push(BatchProbe {
-                width: parts.next()?.parse().ok()?,
-                lane_steps_per_sec: parts.next()?.parse().ok()?,
-            }),
-            _ => return None,
-        }
-    }
-    Some(BatchPolicy {
-        preferred_batch: preferred_batch?,
-        probes,
-        density_thresholds: Vec::new(),
-        packed_thresholds: Vec::new(),
-        quant_thresholds: Vec::new(),
-        quant_eligible: Vec::new(),
-    })
+) -> EvalResult {
+    evaluate_dataset_batched(net, dataset, cfg, eval_threads(), 16).expect("dataset evaluation")
 }
 
 /// Experiment scale: dataset sizes, training epochs, evaluation breadth.
@@ -489,127 +345,5 @@ mod tests {
         let spec = SynthSpec::digits();
         let m = build_model(SyntheticTask::Digits, &spec);
         assert!(m.summary().starts_with("conv2d"));
-    }
-
-    #[test]
-    fn autotune_cache_entry_round_trips() {
-        let policy = BatchPolicy {
-            preferred_batch: 8,
-            probes: vec![
-                BatchProbe {
-                    width: 1,
-                    lane_steps_per_sec: 1000.5,
-                },
-                BatchProbe {
-                    width: 8,
-                    lane_steps_per_sec: 4000.25,
-                },
-            ],
-            density_thresholds: Vec::new(),
-            packed_thresholds: Vec::new(),
-            quant_thresholds: Vec::new(),
-            quant_eligible: Vec::new(),
-        };
-        let path = cache_dir().join("test-autotune-roundtrip.txt");
-        fs::write(&path, render_autotune_cache(&policy)).unwrap();
-        assert_eq!(read_autotune_cache(&path), Some(policy));
-        // Corrupt entries are rejected, not trusted.
-        fs::write(&path, "preferred_batch eight\n").unwrap();
-        assert_eq!(read_autotune_cache(&path), None);
-        fs::write(&path, "unexpected_key 3\n").unwrap();
-        assert_eq!(read_autotune_cache(&path), None);
-        // Entries from before the sparse, packed and int8 kernels'
-        // removal are not reused either.
-        fs::write(&path, "preferred_batch 8\nthresholds 0.28\n").unwrap();
-        assert_eq!(read_autotune_cache(&path), None);
-        fs::write(&path, "preferred_batch 8\npacked_thresholds 0.0625\n").unwrap();
-        assert_eq!(read_autotune_cache(&path), None);
-        fs::write(&path, "preferred_batch 8\nquant_eligible 1,0\n").unwrap();
-        assert_eq!(read_autotune_cache(&path), None);
-        let _ = fs::remove_file(&path);
-        assert_eq!(read_autotune_cache(&path), None, "missing file");
-    }
-
-    #[test]
-    fn autotune_cached_probes_once_then_hits() {
-        use bsnn_core::coding::{CodingScheme, HiddenCoding, InputCoding};
-        use bsnn_core::layer::{SpikingLayer, ThresholdPolicy};
-        use bsnn_core::synapse::Synapse;
-        let dense = |n: usize| Synapse::Dense {
-            weight: bsnn_tensor::Tensor::from_vec(vec![0.3; n * n], &[n, n]).unwrap(),
-        };
-        let hidden =
-            SpikingLayer::new(dense(4), None, ThresholdPolicy::Fixed { vth: 0.5 }).unwrap();
-        let net = SpikingNetwork::new(4, vec![hidden], dense(4), None).unwrap();
-        let scheme = CodingScheme::new(InputCoding::Real, HiddenCoding::Rate);
-        // A config no other test uses, so the key (and file) is ours.
-        let cfg = AutotuneConfig {
-            steps: 3,
-            reps: 1,
-            seed: 0xCAC4E,
-            ..AutotuneConfig::default()
-        };
-        let first = autotune_cached(&net, scheme, &cfg);
-        let second = autotune_cached(&net, scheme, &cfg);
-        // The second call must be a byte-exact cache hit — identical
-        // probes (wall-clock numbers would differ if re-measured).
-        assert_eq!(first, second);
-        // A different config misses the cache.
-        let other = autotune_cached(
-            &net,
-            scheme,
-            &AutotuneConfig {
-                steps: 4,
-                ..cfg.clone()
-            },
-        );
-        assert_eq!(other.probes.len(), first.probes.len());
-    }
-
-    #[test]
-    fn toolchain_salt_change_misses_the_cache() {
-        use bsnn_core::coding::{CodingScheme, HiddenCoding, InputCoding};
-        use bsnn_core::layer::{SpikingLayer, ThresholdPolicy};
-        use bsnn_core::synapse::Synapse;
-        let dense = |n: usize| Synapse::Dense {
-            weight: bsnn_tensor::Tensor::from_vec(vec![0.3; n * n], &[n, n]).unwrap(),
-        };
-        let hidden =
-            SpikingLayer::new(dense(4), None, ThresholdPolicy::Fixed { vth: 0.5 }).unwrap();
-        let net = SpikingNetwork::new(4, vec![hidden], dense(4), None).unwrap();
-        let scheme = CodingScheme::new(InputCoding::Real, HiddenCoding::Rate);
-        let cfg = AutotuneConfig {
-            steps: 3,
-            reps: 1,
-            seed: 0x5A17ED,
-            ..AutotuneConfig::default()
-        };
-
-        // The regression this guards: before the salt, a rustc upgrade
-        // (or a -C target-cpu change) reused policies calibrated under
-        // the old codegen. Different salts must map to different cache
-        // files entirely.
-        let old = autotune_cache_path(&net, scheme, &cfg, "rustc 1.0.0 (old)|").unwrap();
-        let new = autotune_cache_path(&net, scheme, &cfg, "rustc 2.0.0 (new)|+avx2").unwrap();
-        assert_ne!(old, new, "salt must be part of the key");
-        // And the live key uses the compiled-in toolchain identity and
-        // the conv instance chosen at run time.
-        let live = autotune_cache_path(&net, scheme, &cfg, &toolchain_salt()).unwrap();
-        assert_ne!(live, old);
-        let instance = bsnn_core::synapse::conv_instance();
-        assert!(toolchain_salt().ends_with(&format!("|{instance}")));
-
-        // End to end: populate under one salt, then probe under another —
-        // the second salt must re-measure (its file appears), never read
-        // the first salt's entry.
-        let _ = fs::remove_file(&old);
-        let _ = fs::remove_file(&new);
-        autotune_cached_salted(&net, scheme, &cfg, "rustc 1.0.0 (old)|");
-        assert!(old.exists(), "first probe populates its entry");
-        assert!(!new.exists());
-        autotune_cached_salted(&net, scheme, &cfg, "rustc 2.0.0 (new)|+avx2");
-        assert!(new.exists(), "changed salt re-probes into a fresh entry");
-        let _ = fs::remove_file(&old);
-        let _ = fs::remove_file(&new);
     }
 }

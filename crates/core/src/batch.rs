@@ -32,12 +32,11 @@
 //! lockstep kernel ([`crate::synapse::Synapse::accumulate_batch`]) into
 //! a batch-innermost PSP; which loop it runs depends only on the
 //! stage's synapse and the lockstep width. There is no per-step kernel
-//! choice to make, so nothing is calibrated or shipped with a model
-//! beyond its preferred width. Each stage's input spike density is
-//! still tallied for the profile, at no extra pass: stage `k`'s input
-//! events are stage `k − 1`'s spike counts for this step (already
-//! counted by the fire loop), and the input layer's are counted while
-//! staging.
+//! choice to make, so nothing is calibrated or shipped with a model.
+//! Each stage's input spike density is still tallied for the profile,
+//! at no extra pass: stage `k`'s input events are stage `k − 1`'s spike
+//! counts for this step (already counted by the fire loop), and the
+//! input layer's are counted while staging.
 //!
 //! ## Periodic-input PSP caching
 //!

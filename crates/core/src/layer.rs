@@ -252,11 +252,6 @@ impl SpikingLayer {
         }
         Ok(&self.out)
     }
-
-    /// Read-only view of the last step's output magnitudes.
-    pub fn last_output(&self) -> &[f32] {
-        &self.out
-    }
 }
 
 #[cfg(test)]

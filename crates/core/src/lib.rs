@@ -74,7 +74,6 @@ pub mod simulator;
 pub mod snapshot;
 pub mod synapse;
 
-pub use autotune::{autotune_batch, AutotuneConfig, BatchPolicy, BatchProbe};
 pub use batch::{
     BatchedNetwork, BatchedStepwiseInference, KernelKind, ProfileSink, ProfileSnapshot,
     StageProfileSnapshot,
@@ -87,10 +86,7 @@ pub use layer::{ResetMode, SpikingLayer, ThresholdPolicy};
 pub use network::SpikingNetwork;
 pub use recorder::{NeuronId, RecordLevel, SpikeRecord, SpikeTrainRec};
 pub use simulator::{
-    evaluate_dataset, evaluate_dataset_batched, evaluate_dataset_parallel, infer_image, EvalConfig,
-    EvalResult, ImageResult, StepwiseInference,
+    evaluate_dataset, evaluate_dataset_batched, infer_image, EvalConfig, EvalResult, ImageResult,
+    StepwiseInference,
 };
-pub use snapshot::{
-    load_network, load_network_with_meta, save_network, save_network_to_path,
-    save_network_with_meta, SnapshotError, SnapshotMeta,
-};
+pub use snapshot::{load_network, save_network, save_network_to_path, SnapshotError};

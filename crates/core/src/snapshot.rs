@@ -7,22 +7,22 @@
 //! `Write`/`Read` — pass `&mut file` if you need the file back
 //! afterwards.
 //!
-//! Format version 2 added a [`SnapshotMeta`] block (the model's
-//! autotuned `preferred_batch` lockstep width) between the header and
-//! the network body, so deployment-time measurements travel with the
-//! weights. Versions 3, 4 and 6 extended the block with kernel-dispatch
-//! data for kernels the engine no longer has: per-stage crossovers of
-//! an event-list kernel (v3), of a bit-plane kernel (v4), and of an
-//! int8 kernel with its accuracy-gate verdicts and weight tables (v6).
-//! Readers still parse those blocks under the same length bounds (the
-//! checksum covers them too) and then discard them; writers emit them
-//! empty. Version 5 appended an FNV-1a 64 content checksum over the
-//! entire stream (magic through body) as an 8-byte little-endian
-//! trailer, so a torn or bit-flipped file is rejected with a typed
+//! Format version 2 added a 4-byte word between the header and the
+//! network body that recorded a probed lockstep width; no reader acts
+//! on it any more, so writers emit 0 and readers discard it. Versions
+//! 3, 4 and 6 extended that block with kernel-dispatch data for kernels
+//! the engine no longer has: per-stage crossovers of an event-list
+//! kernel (v3), of a bit-plane kernel (v4), and of an int8 kernel with
+//! its accuracy-gate verdicts and weight tables (v6). Readers still
+//! parse those blocks under the same length bounds (the checksum covers
+//! them too) and then discard them; writers emit them empty. Version 5
+//! appended an FNV-1a 64 content checksum over the entire stream (magic
+//! through body) as an 8-byte little-endian trailer, so a torn or
+//! bit-flipped file is rejected with a typed
 //! [`SnapshotError::Checksum`] instead of whatever decode error the
 //! corruption happens to trip. Version-1 through version-6 streams all
-//! load (a missing `preferred_batch` defaults to 0, pre-v5 streams have
-//! no checksum verified). Writers emit version 6.
+//! load (pre-v5 streams have no checksum verified). Writers emit
+//! version 6.
 //!
 //! [`save_network_to_path`] writes through a temp file in the target
 //! directory and atomically renames it into place, so a directory
@@ -93,15 +93,6 @@ impl<R: Read> Read for HashingReader<R> {
         self.digest = fnv1a_update(self.digest, &buf[..n]);
         Ok(n)
     }
-}
-
-/// Deployment metadata carried alongside the network structure.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SnapshotMeta {
-    /// Autotuned lockstep batch width the model should run at
-    /// (`0` = no preference recorded; see
-    /// [`crate::autotune::autotune_batch`]).
-    pub preferred_batch: u32,
 }
 
 /// Errors from reading or writing a network snapshot.
@@ -418,31 +409,18 @@ fn read_policy<R: Read>(r: &mut R) -> Result<ThresholdPolicy, SnapshotError> {
     }
 }
 
-/// Writes a network snapshot with default metadata (pass `&mut writer`
+/// Writes a network snapshot (format version 6: the stream ends with
+/// an FNV-1a 64 checksum over everything before it; pass `&mut writer`
 /// to keep ownership).
 ///
 /// # Errors
 ///
 /// Returns I/O errors from the writer.
-pub fn save_network<W: Write>(net: &SpikingNetwork, writer: W) -> Result<(), SnapshotError> {
-    save_network_with_meta(net, SnapshotMeta::default(), writer)
-}
-
-/// Writes a network snapshot carrying `meta` (format version 6: the
-/// stream ends with an FNV-1a 64 checksum over everything before it).
-///
-/// # Errors
-///
-/// Returns I/O errors from the writer.
-pub fn save_network_with_meta<W: Write>(
-    net: &SpikingNetwork,
-    meta: SnapshotMeta,
-    mut writer: W,
-) -> Result<(), SnapshotError> {
+pub fn save_network<W: Write>(net: &SpikingNetwork, mut writer: W) -> Result<(), SnapshotError> {
     // Serialize into memory first so the checksum covers the exact
     // bytes written and the caller's writer sees one contiguous stream.
     let mut buf = Vec::new();
-    write_snapshot_body(net, meta, &mut buf)?;
+    write_snapshot_body(net, &mut buf)?;
     let digest = fnv1a(&buf);
     buf.extend_from_slice(&digest.to_le_bytes());
     writer.write_all(&buf)?;
@@ -459,7 +437,6 @@ pub fn save_network_with_meta<W: Write>(
 /// Returns I/O errors from writing or renaming the temp file.
 pub fn save_network_to_path<P: AsRef<std::path::Path>>(
     net: &SpikingNetwork,
-    meta: SnapshotMeta,
     path: P,
 ) -> Result<(), SnapshotError> {
     let path = path.as_ref();
@@ -468,7 +445,7 @@ pub fn save_network_to_path<P: AsRef<std::path::Path>>(
     let tmp = std::path::PathBuf::from(tmp);
     let result = (|| {
         let mut file = std::fs::File::create(&tmp)?;
-        save_network_with_meta(net, meta, &mut file)?;
+        save_network(net, &mut file)?;
         file.sync_all()?;
         drop(file);
         std::fs::rename(&tmp, path)?;
@@ -481,17 +458,13 @@ pub fn save_network_to_path<P: AsRef<std::path::Path>>(
 }
 
 /// Serializes the whole snapshot except the v5 checksum trailer.
-fn write_snapshot_body<W: Write>(
-    net: &SpikingNetwork,
-    meta: SnapshotMeta,
-    mut writer: W,
-) -> Result<(), SnapshotError> {
+fn write_snapshot_body<W: Write>(net: &SpikingNetwork, mut writer: W) -> Result<(), SnapshotError> {
     writer.write_all(MAGIC)?;
     write_u32(&mut writer, VERSION)?;
-    write_u32(&mut writer, meta.preferred_batch)?;
-    // The v3–v6 dispatch blocks (density, packed and quant crossovers,
-    // int8 eligibility, int8 tables), each an empty list.
-    for _ in 0..5 {
+    // The v2 width word (0), then the v3–v6 dispatch blocks (density,
+    // packed and quant crossovers, int8 eligibility, int8 tables), each
+    // an empty list.
+    for _ in 0..6 {
         write_u32(&mut writer, 0)?;
     }
     write_u32(&mut writer, net.input_len() as u32)?;
@@ -525,23 +498,11 @@ fn write_snapshot_body<W: Write>(
     Ok(())
 }
 
-/// Reads a network snapshot produced by [`save_network`] or
-/// [`save_network_with_meta`], discarding the metadata.
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::Format`] for corrupt or foreign streams,
-/// and [`SnapshotError::Invalid`] if the decoded stages are mutually
-/// inconsistent.
-pub fn load_network<R: Read>(reader: R) -> Result<SpikingNetwork, SnapshotError> {
-    load_network_with_meta(reader).map(|(net, _)| net)
-}
-
-/// Reads a network snapshot together with its [`SnapshotMeta`].
-/// Version-1 streams (which predate the metadata block) decode with
-/// default metadata; version-3, -4 and -6 dispatch blocks are parsed
-/// and discarded; version-4 and older streams (which predate the
-/// content checksum) decode without integrity verification.
+/// Reads a network snapshot produced by [`save_network`] or by an
+/// older writer. The version-2 width word and the version-3, -4 and -6
+/// dispatch blocks are parsed and discarded; version-4 and older
+/// streams (which predate the content checksum) decode without
+/// integrity verification.
 ///
 /// # Errors
 ///
@@ -549,9 +510,7 @@ pub fn load_network<R: Read>(reader: R) -> Result<SpikingNetwork, SnapshotError>
 /// [`SnapshotError::Checksum`] when a v5+ stream's content does not
 /// hash to its recorded trailer, and [`SnapshotError::Invalid`] if the
 /// decoded stages are mutually inconsistent.
-pub fn load_network_with_meta<R: Read>(
-    reader: R,
-) -> Result<(SpikingNetwork, SnapshotMeta), SnapshotError> {
+pub fn load_network<R: Read>(reader: R) -> Result<SpikingNetwork, SnapshotError> {
     let mut reader = HashingReader::new(reader);
     let mut magic = [0u8; 4];
     reader.read_exact(&mut magic)?;
@@ -559,13 +518,12 @@ pub fn load_network_with_meta<R: Read>(
         return Err(SnapshotError::Format("bad magic".into()));
     }
     let version = read_u32(&mut reader)?;
-    let meta = match version {
-        1 => SnapshotMeta::default(),
+    match version {
+        1 => {}
         2..=6 => {
-            let meta = SnapshotMeta {
-                preferred_batch: read_u32(&mut reader)?,
-            };
-            // Dispatch blocks of removed kernels: parsed, then dropped.
+            // The width word and the dispatch blocks of removed
+            // kernels: parsed, then dropped.
+            read_u32(&mut reader)?;
             if version >= 3 {
                 read_f32_vec(&mut reader, MAX_STAGE_COUNT, "threshold count")?;
             }
@@ -577,14 +535,13 @@ pub fn load_network_with_meta<R: Read>(
                 skip_bool_list(&mut reader)?;
                 skip_quant_tables(&mut reader)?;
             }
-            meta
         }
         other => {
             return Err(SnapshotError::Format(format!(
                 "unsupported snapshot version {other}"
             )))
         }
-    };
+    }
     let input_len = read_u32(&mut reader)? as usize;
     let n_layers = read_u32(&mut reader)? as usize;
     if n_layers > 4096 {
@@ -628,7 +585,7 @@ pub fn load_network_with_meta<R: Read>(
             return Err(SnapshotError::Checksum { expected, actual });
         }
     }
-    Ok((net, meta))
+    Ok(net)
 }
 
 #[cfg(test)]
@@ -690,49 +647,36 @@ mod tests {
     #[test]
     fn meta_round_trip_and_v1_v2_compat() {
         let (net, _, _) = sample_network(HiddenCoding::Burst);
-        let mut buf = Vec::new();
-        save_network_with_meta(
-            &net,
-            SnapshotMeta {
-                preferred_batch: 16,
-            },
-            &mut buf,
-        )
-        .expect("save");
-        let (_, meta) = load_network_with_meta(buf.as_slice()).expect("load");
-        assert_eq!(meta.preferred_batch, 16);
-        // A plain save carries no preference.
-        let mut plain = Vec::new();
-        save_network(&net, &mut plain).expect("save");
-        let (_, meta) = load_network_with_meta(plain.as_slice()).expect("load");
-        assert_eq!(meta, SnapshotMeta::default());
-        // The v6 header is magic + version + preferred_batch + five
-        // empty dispatch blocks (a zero count each); the network body
+        let mut current = Vec::new();
+        save_network(&net, &mut current).expect("save");
+        // Re-saving a loaded network reproduces the current stream byte
+        // for byte, so every field of the structure survived.
+        let same_network = |restored: SpikingNetwork, era: &str| {
+            let mut again = Vec::new();
+            save_network(&restored, &mut again).expect("re-save");
+            assert!(again == current, "{era} stream decoded to another network");
+        };
+        // The v6 header is magic + version + the v2 width word + five
+        // empty dispatch blocks, all written as zero; the network body
         // follows, and the stream ends with the 8-byte checksum trailer
         // (stripped below — pre-v5 streams have no trailer).
         let body = 12 + 4 * 5;
-        assert!(buf[12..body].iter().all(|&b| b == 0));
-        let buf = &buf[..buf.len() - 8];
-        // A version-1 stream (no meta block at all) still loads, with
-        // default metadata.
+        assert!(current[8..body].iter().all(|&b| b == 0));
+        let buf = &current[..current.len() - 8];
+        // A version-1 stream (no metadata block at all) still loads.
         let mut v1 = Vec::new();
         v1.extend_from_slice(MAGIC);
         v1.extend_from_slice(&1u32.to_le_bytes());
         v1.extend_from_slice(&buf[body..]);
-        let (restored, meta) = load_network_with_meta(v1.as_slice()).expect("load v1");
-        assert_eq!(meta, SnapshotMeta::default());
-        assert_eq!(restored.input_len(), net.input_len());
-        assert_eq!(restored.num_neurons(), net.num_neurons());
-        // A version-2 stream (preferred_batch, no dispatch blocks) loads
-        // with the preference.
+        same_network(load_network(v1.as_slice()).expect("load v1"), "v1");
+        // A version-2 stream (a width word, no dispatch blocks) loads,
+        // and its nonzero width is discarded.
         let mut v2 = Vec::new();
         v2.extend_from_slice(MAGIC);
         v2.extend_from_slice(&2u32.to_le_bytes());
         v2.extend_from_slice(&8u32.to_le_bytes());
         v2.extend_from_slice(&buf[body..]);
-        let (restored, meta) = load_network_with_meta(v2.as_slice()).expect("load v2");
-        assert_eq!(meta.preferred_batch, 8);
-        assert_eq!(restored.num_neurons(), net.num_neurons());
+        same_network(load_network(v2.as_slice()).expect("load v2"), "v2");
         // A version-3 stream's density crossovers are read and dropped.
         let mut v3 = Vec::new();
         v3.extend_from_slice(MAGIC);
@@ -742,28 +686,23 @@ mod tests {
         v3.extend_from_slice(&0.25f32.to_le_bytes());
         v3.extend_from_slice(&0.5f32.to_le_bytes());
         v3.extend_from_slice(&buf[body..]);
-        let (restored, meta) = load_network_with_meta(v3.as_slice()).expect("load v3");
-        assert_eq!(meta.preferred_batch, 8);
-        assert_eq!(restored.num_neurons(), net.num_neurons());
+        same_network(load_network(v3.as_slice()).expect("load v3"), "v3");
         // A version-4 stream (two crossover blocks, no checksum trailer)
         // is the v6 bytes minus the trailer and the three v6 blocks with
-        // the version rewritten — it loads without integrity
+        // the version and width rewritten — it loads without integrity
         // verification.
         let mut v4 = buf[..body - 4 * 3].to_vec();
         v4.extend_from_slice(&buf[body..]);
         v4[4..8].copy_from_slice(&4u32.to_le_bytes());
-        let (restored, meta) = load_network_with_meta(v4.as_slice()).expect("load v4");
-        assert_eq!(meta.preferred_batch, 16);
-        assert_eq!(restored.num_neurons(), net.num_neurons());
+        v4[8..12].copy_from_slice(&16u32.to_le_bytes());
+        same_network(load_network(v4.as_slice()).expect("load v4"), "v4");
         // A version-5 stream is the same bytes plus a recomputed
         // checksum trailer — it loads with integrity verification.
         let mut v5 = v4.clone();
         v5[4..8].copy_from_slice(&5u32.to_le_bytes());
         let digest = fnv1a(&v5);
         v5.extend_from_slice(&digest.to_le_bytes());
-        let (restored, meta) = load_network_with_meta(v5.as_slice()).expect("load v5");
-        assert_eq!(meta.preferred_batch, 16);
-        assert_eq!(restored.num_neurons(), net.num_neurons());
+        same_network(load_network(v5.as_slice()).expect("load v5"), "v5");
     }
 
     #[test]
@@ -811,11 +750,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.bsnn");
         let (net, _, _) = sample_network(HiddenCoding::Rate);
-        let meta = SnapshotMeta { preferred_batch: 4 };
-        save_network_to_path(&net, meta, &path).expect("atomic save");
+        save_network_to_path(&net, &path).expect("atomic save");
         let file = std::fs::File::open(&path).unwrap();
-        let (restored, meta) = load_network_with_meta(file).expect("load");
-        assert_eq!(meta.preferred_batch, 4);
+        let restored = load_network(file).expect("load");
         assert_eq!(restored.num_neurons(), net.num_neurons());
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -861,7 +798,7 @@ mod tests {
         buf.extend_from_slice(MAGIC);
         write_u32(&mut buf, VERSION).unwrap();
         for _ in 0..6 {
-            // preferred batch, then the five empty dispatch blocks
+            // the width word, then the five empty dispatch blocks
             write_u32(&mut buf, 0).unwrap();
         }
         write_u32(&mut buf, 16).unwrap(); // input length

@@ -7,9 +7,7 @@
 use bsnn_core::coding::{CodingScheme, HiddenCoding, InputCoding};
 use bsnn_core::layer::{ResetMode, SpikingLayer, ThresholdPolicy};
 use bsnn_core::recorder::RecordLevel;
-use bsnn_core::simulator::{
-    evaluate_dataset, evaluate_dataset_batched, evaluate_dataset_parallel, EvalConfig, EvalResult,
-};
+use bsnn_core::simulator::{evaluate_dataset, evaluate_dataset_batched, EvalConfig, EvalResult};
 use bsnn_core::synapse::{Chw, Synapse};
 use bsnn_core::SpikingNetwork;
 use bsnn_data::ImageDataset;
@@ -127,8 +125,8 @@ fn batched_eval_matches_sequential_all_widths_and_threads() {
                     assert_results_identical(&reference, &got, &ctx);
                 }
             }
-            // The parallel evaluator is the batch=1 case of the same path.
-            let par = evaluate_dataset_parallel(net, ds, &cfg, 4).unwrap();
+            // Four threads at width 1, the parallel case of the same path.
+            let par = evaluate_dataset_batched(net, ds, &cfg, 4, 1).unwrap();
             assert_results_identical(&reference, &par, &format!("{name} {scheme} parallel"));
         }
     }

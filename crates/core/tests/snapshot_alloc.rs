@@ -7,7 +7,7 @@
 //! while each stream loads. It is process-global, so this file holds a
 //! single test: no other test in the binary can allocate alongside it.
 
-use bsnn_core::snapshot::load_network_with_meta;
+use bsnn_core::snapshot::load_network;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -53,12 +53,12 @@ fn u32s(words: &[u32]) -> Vec<u8> {
 #[test]
 fn declared_lengths_do_not_drive_allocation() {
     const MAGIC: &[u8] = b"BSNN";
-    // v6 header and preferred_batch, a density-threshold list declaring
+    // v6 header and width word, a density-threshold list declaring
     // 2^28 floats, one float, then EOF (20 bytes).
     let mut huge_thresholds = MAGIC.to_vec();
     huge_thresholds.extend(u32s(&[6, 0, 1 << 28]));
     huge_thresholds.extend(0.5f32.to_le_bytes());
-    // v6 header, preferred_batch, three empty crossover lists, no
+    // v6 header, width word, three empty crossover lists, no
     // flags, then one int8 table declaring 16384 × 16384 codes and EOF.
     let mut huge_table = MAGIC.to_vec();
     huge_table.extend(u32s(&[6, 0, 0, 0, 0, 0, 1]));
@@ -75,7 +75,7 @@ fn declared_lengths_do_not_drive_allocation() {
         ("weight buffer", &huge_weights),
     ] {
         LARGEST.store(0, Ordering::Relaxed);
-        let result = load_network_with_meta(stream.as_slice());
+        let result = load_network(stream.as_slice());
         let largest = LARGEST.load(Ordering::Relaxed);
         assert!(result.is_err(), "{name}: a truncated stream loaded");
         assert!(

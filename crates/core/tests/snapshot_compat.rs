@@ -1,30 +1,31 @@
 //! Snapshot version compatibility matrix: every on-disk format version
 //! ever shipped (v1 through the current v6) must keep loading, each
-//! yielding the same network and the `preferred_batch` its era could
-//! record. The streams are built by byte surgery, which pins the wire
-//! layout itself, not just the writer/reader pair of this build:
+//! yielding the same network. The streams are built by byte surgery,
+//! which pins the wire layout itself, not just the writer/reader pair
+//! of this build:
 //!
-//! - the v6 stream as older writers produced it, with every dispatch
-//!   block filled in, is the current writer's stream with hand-encoded
-//!   blocks spliced in and the checksum trailer recomputed;
+//! - the v6 stream as older writers produced it, with a nonzero width
+//!   word and every dispatch block filled in, is the current writer's
+//!   stream with hand-encoded values spliced in and the checksum
+//!   trailer recomputed;
 //! - the older versions are derived from that stream by stripping the
 //!   blocks each version predates and rewriting the version word.
 //!
 //! Version history under test:
 //!   v1  network structure only
-//!   v2  + preferred_batch
+//!   v2  + a probed lockstep width
 //!   v3  + density_thresholds
 //!   v4  + packed_thresholds
 //!   v5  + FNV-1a content checksum trailer
 //!   v6  + quant thresholds / eligibility / int8 tables
 //!
-//! The v3, v4 and v6 blocks belong to kernels the engine no longer has:
-//! the reader parses them and discards them, and the writer emits them
+//! No reader acts on the v2 width any more, and the v3, v4 and v6
+//! blocks belong to kernels the engine no longer has: the reader parses
+//! them all and discards them, and the writer emits them zero or
 //! empty.
 
 use bsnn_core::layer::{SpikingLayer, ThresholdPolicy};
-use bsnn_core::snapshot::SnapshotMeta;
-use bsnn_core::snapshot::{fnv1a, load_network_with_meta, save_network_with_meta, SnapshotError};
+use bsnn_core::snapshot::{fnv1a, load_network, save_network, SnapshotError};
 use bsnn_core::synapse::Synapse;
 use bsnn_core::SpikingNetwork;
 use bsnn_tensor::Tensor;
@@ -33,8 +34,11 @@ const IN: usize = 6;
 const HID: usize = 4;
 const OUT: usize = 3;
 
-/// Offset of `preferred_batch`, right after magic + version.
+/// Offset of the v2 width word, right after magic + version.
 const META_START: usize = 8;
+
+/// The width older writers recorded in the v2 word.
+const LEGACY_WIDTH: u32 = 16;
 
 fn ramp_weight(n_in: usize, n_out: usize, step: f32) -> Tensor {
     Tensor::from_vec(
@@ -64,12 +68,6 @@ fn network() -> SpikingNetwork {
     SpikingNetwork::new(IN, vec![hidden], out, None).unwrap()
 }
 
-fn meta() -> SnapshotMeta {
-    SnapshotMeta {
-        preferred_batch: 16,
-    }
-}
-
 fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -94,7 +92,7 @@ fn push_table(out: &mut Vec<u8>, n_in: usize, n_out: usize) {
 }
 
 /// The dispatch blocks of a fully calibrated model, as older writers
-/// encoded them after `preferred_batch`, one byte string per block:
+/// encoded them after the width word, one byte string per block:
 /// density (v3), packed (v4), and quant thresholds + eligibility +
 /// int8 tables (v6).
 fn legacy_blocks() -> [Vec<u8>; 3] {
@@ -113,30 +111,31 @@ fn legacy_blocks() -> [Vec<u8>; 3] {
 }
 
 /// The v6 stream as older writers produced it: the current writer's
-/// stream with its five empty dispatch blocks replaced by
-/// [`legacy_blocks`] and the FNV-1a trailer recomputed. `downgrade` in
-/// reverse.
+/// stream with its zero width word replaced by [`LEGACY_WIDTH`], its
+/// five empty dispatch blocks replaced by [`legacy_blocks`], and the
+/// FNV-1a trailer recomputed. `downgrade` in reverse.
 fn legacy_v6(current: &[u8]) -> Vec<u8> {
-    let empty = META_START + 4..META_START + 4 + 4 * 5;
+    let zeros = META_START..META_START + 4 + 4 * 5;
     assert!(
-        current[empty.clone()].iter().all(|&b| b == 0),
-        "the writer emits five empty dispatch blocks"
+        current[zeros.clone()].iter().all(|&b| b == 0),
+        "the writer emits a zero width and five empty dispatch blocks"
     );
-    let mut out = current[..empty.start].to_vec();
+    let mut out = current[..zeros.start].to_vec();
+    out.extend_from_slice(&LEGACY_WIDTH.to_le_bytes());
     for block in legacy_blocks() {
         out.extend_from_slice(&block);
     }
-    out.extend_from_slice(&current[empty.end..current.len() - 8]);
+    out.extend_from_slice(&current[zeros.end..current.len() - 8]);
     let digest = fnv1a(&out);
     out.extend_from_slice(&digest.to_le_bytes());
     out
 }
 
 /// End offsets, in a [`legacy_v6`] stream, of each metadata
-/// generation: `preferred_batch` (v2), density (v3), packed (v4, v5)
-/// and the v6 blocks.
+/// generation: the width word (v2), density (v3), packed (v4, v5) and
+/// the v6 blocks.
 struct Blocks {
-    preferred_batch: usize,
+    width: usize,
     density: usize,
     packed: usize,
     quant: usize,
@@ -144,12 +143,12 @@ struct Blocks {
 
 fn blocks() -> Blocks {
     let [density, packed, quant] = legacy_blocks();
-    let preferred_batch = META_START + 4;
+    let width = META_START + 4;
     Blocks {
-        preferred_batch,
-        density: preferred_batch + density.len(),
-        packed: preferred_batch + density.len() + packed.len(),
-        quant: preferred_batch + density.len() + packed.len() + quant.len(),
+        width,
+        density: width + density.len(),
+        packed: width + density.len() + packed.len(),
+        quant: width + density.len() + packed.len() + quant.len(),
     }
 }
 
@@ -171,7 +170,7 @@ fn downgrade(v6: &[u8], version: u32, keep_end: usize) -> Vec<u8> {
 
 fn current_v6(net: &SpikingNetwork) -> Vec<u8> {
     let mut v6 = Vec::new();
-    save_network_with_meta(net, meta(), &mut v6).unwrap();
+    save_network(net, &mut v6).unwrap();
     v6
 }
 
@@ -199,31 +198,36 @@ fn assert_same_network(loaded: &SpikingNetwork, original: &SpikingNetwork) {
 fn every_snapshot_version_loads_with_its_eras_metadata() {
     let net = network();
     let current = current_v6(&net);
-    let (loaded, got) = load_network_with_meta(&current[..]).expect("current v6 loads");
+    let loaded = load_network(&current[..]).expect("current v6 loads");
     assert_same_network(&loaded, &net);
-    assert_eq!(got, meta(), "current v6 metadata");
     let v6 = legacy_v6(&current);
     let b = blocks();
 
-    // v1 predates the metadata block; every later version carries
-    // `preferred_batch`, and its dispatch blocks are discarded.
+    // v1 predates the metadata block; every later version carries the
+    // width word, and it and the dispatch blocks are discarded.
     let cases = [
-        (1u32, META_START, SnapshotMeta::default()),
-        (2, b.preferred_batch, meta()),
-        (3, b.density, meta()),
-        (4, b.packed, meta()),
-        (5, b.packed, meta()),
-        (6, b.quant, meta()),
+        (1u32, META_START),
+        (2, b.width),
+        (3, b.density),
+        (4, b.packed),
+        (5, b.packed),
+        (6, b.quant),
     ];
-    for (version, keep_end, expected) in cases {
+    for (version, keep_end) in cases {
         let stream = downgrade(&v6, version, keep_end);
         if version == 6 {
             assert_eq!(stream, v6, "v6 downgrade must be the identity");
         }
-        let (loaded, got) = load_network_with_meta(&stream[..])
+        if version >= 2 {
+            assert_eq!(
+                stream[META_START..META_START + 4],
+                LEGACY_WIDTH.to_le_bytes(),
+                "v{version} carries a nonzero width"
+            );
+        }
+        let loaded = load_network(&stream[..])
             .unwrap_or_else(|e| panic!("v{version} stream failed to load: {e}"));
         assert_same_network(&loaded, &net);
-        assert_eq!(got, expected, "v{version} metadata");
     }
 }
 
@@ -238,7 +242,7 @@ fn checksummed_versions_reject_corruption_unchecksummed_do_not_pretend_to() {
         // only the content checksum can catch it.
         let idx = stream.len() - 16;
         stream[idx] ^= 0x10;
-        match load_network_with_meta(&stream[..]) {
+        match load_network(&stream[..]) {
             Err(SnapshotError::Checksum { expected, actual }) => {
                 assert_ne!(expected, actual, "v{version} checksum fields")
             }
@@ -250,7 +254,7 @@ fn checksummed_versions_reject_corruption_unchecksummed_do_not_pretend_to() {
     let mut stream = v6.clone();
     stream[b.quant - 10] ^= 0x01;
     assert!(matches!(
-        load_network_with_meta(&stream[..]),
+        load_network(&stream[..]),
         Err(SnapshotError::Checksum { .. })
     ));
     // v4 predates the trailer: the same flip decodes silently — the
@@ -258,7 +262,7 @@ fn checksummed_versions_reject_corruption_unchecksummed_do_not_pretend_to() {
     let mut v4 = downgrade(&v6, 4, b.packed);
     let idx = v4.len() - 8;
     v4[idx] ^= 0x10;
-    load_network_with_meta(&v4[..]).expect("v4 has no integrity trailer");
+    load_network(&v4[..]).expect("v4 has no integrity trailer");
 }
 
 #[test]
@@ -266,7 +270,7 @@ fn future_versions_are_refused_up_front() {
     let net = network();
     let v6 = legacy_v6(&current_v6(&net));
     let stream = downgrade(&v6, 7, blocks().quant);
-    match load_network_with_meta(&stream[..]) {
+    match load_network(&stream[..]) {
         Err(SnapshotError::Format(msg)) => {
             assert!(msg.contains("version"), "unexpected message: {msg}")
         }

@@ -16,13 +16,12 @@
 use bsnn_analysis::energy::{EnergyModel, WorkloadMetrics};
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::convert::{convert, ConversionConfig};
-use bsnn_core::snapshot::{save_network_with_meta, SnapshotMeta};
+use bsnn_core::snapshot::save_network;
 use bsnn_data::SynthSpec;
 use bsnn_dnn::models;
 use bsnn_dnn::train::{TrainConfig, Trainer};
 use bsnn_serve::{
-    autotune_batch, format_profile, run_closed_loop, AutotuneConfig, ExitPolicy, LoadSpec,
-    ModelRegistry, ServeConfig, ServeRuntime,
+    format_profile, run_closed_loop, ExitPolicy, LoadSpec, ModelRegistry, ServeConfig, ServeRuntime,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -43,7 +42,6 @@ struct Args {
     check_every: usize,
     spike_budget: u64,
     min_rps: f64,
-    autotune: bool,
 }
 
 impl Default for Args {
@@ -62,7 +60,6 @@ impl Default for Args {
             check_every: 8,
             spike_budget: 20_000,
             min_rps: 0.0,
-            autotune: false,
         }
     }
 }
@@ -71,7 +68,7 @@ fn usage() -> &'static str {
     "serve_demo [--requests N] [--workers W] [--batch B] [--linger-us T] \
      [--queue-cap C] [--concurrency K] [--steps S] \
      [--policy margin|fixed|budget] [--margin M] [--patience P] \
-     [--check-every E] [--spike-budget B] [--min-rps R] [--autotune]"
+     [--check-every E] [--spike-budget B] [--min-rps R]"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -141,7 +138,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--min-rps: {e}"))?
             }
-            "--autotune" => args.autotune = true,
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
@@ -204,36 +200,16 @@ fn main() -> ExitCode {
         t0.elapsed().as_secs_f64()
     );
 
-    // 2. Optionally measure the model's lockstep batch policy, then
-    //    install through the snapshot path (convert once, ship bytes —
-    //    the measured width travels in the snapshot metadata).
-    let meta = if args.autotune {
-        let policy =
-            autotune_batch(&snn, scheme, &AutotuneConfig::default()).expect("autotune probe");
-        println!(
-            "autotune: preferred lockstep width {} ({:.2}x vs scalar)",
-            policy.preferred_batch,
-            policy.speedup_vs_scalar()
-        );
-        SnapshotMeta {
-            preferred_batch: policy.preferred_batch as u32,
-        }
-    } else {
-        SnapshotMeta::default()
-    };
+    // 2. Install through the snapshot path (convert once, ship bytes).
     let registry = Arc::new(ModelRegistry::new());
     let mut snapshot = Vec::new();
-    save_network_with_meta(&snn, meta, &mut snapshot).expect("snapshot save");
+    save_network(&snn, &mut snapshot).expect("snapshot save");
     let epoch = registry
         .install_snapshot("digits", snapshot.as_slice(), scheme, 8)
         .expect("snapshot install");
     println!(
-        "registry: installed `digits` from a {}-byte snapshot (epoch {epoch}, preferred batch {})",
-        snapshot.len(),
-        match registry.get("digits").and_then(|e| e.preferred_batch()) {
-            Some(b) => b.to_string(),
-            None => "unset".into(),
-        }
+        "registry: installed `digits` from a {}-byte snapshot (epoch {epoch})",
+        snapshot.len()
     );
 
     // 3. Start the worker pool (with engine profiling on, so the demo

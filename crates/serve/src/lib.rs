@@ -28,12 +28,6 @@
 //! * **Model registry** ([`registry::ModelRegistry`]) — snapshot-backed,
 //!   hot-swappable by name with epoch-counted `Arc` swap: in-flight
 //!   requests finish on the model they started with.
-//! * **Per-model batch policy** — entries carry an autotuned
-//!   `preferred_batch` lockstep width (measured by
-//!   [`bsnn_core::autotune`], shipped in snapshot metadata, or set via
-//!   [`registry::ModelRegistry::install_with_batch`]); workers split
-//!   popped micro-batches to each model's width, so event-skip-bound
-//!   models run narrow while conv models run wide.
 //! * **Metrics** ([`metrics::ServeMetrics`]) — request counts,
 //!   p50/p95/p99 latency, time steps and spikes per request, batch
 //!   occupancy, and queue depth.
@@ -79,10 +73,10 @@
 //! ([`loadgen::run_open_loop`], [`loadgen::run_open_loop_net`]).
 //!
 //! ```text
-//! clients ──submit()──▶ BatchQueue ──pop_batch()──▶ worker threads ──▶ ResponseHandle
-//!   ▲  QueueFull            │ bounded, linger          │ cached net clone
-//!   └──────────────────────┘                           ▼ epoch check
-//!                                                 ModelRegistry (Arc swap)
+//! clients ──submit()──▶ BatchQueue ──pop_batch_by_key()──▶ worker threads ──▶ ResponseHandle
+//!   ▲  QueueFull            │ bounded, linger                 │ cached net clone
+//!   └──────────────────────┘                                  ▼ epoch check
+//!                                                        ModelRegistry (Arc swap)
 //! ```
 
 pub mod error;
@@ -101,7 +95,6 @@ pub mod supervisor;
 pub mod watch;
 mod worker;
 
-pub use bsnn_core::autotune::{autotune_batch, AutotuneConfig, BatchPolicy};
 pub use error::ServeError;
 pub use exit::{
     run_batch_with_policies, run_batch_with_policies_each, run_with_policy, ExitOutcome,

@@ -2,12 +2,14 @@
 //!
 //! Producers [`push`](BatchQueue::push) single items and get immediate
 //! backpressure (`Err`) when the queue is at capacity. Consumers call
-//! [`pop_batch`](BatchQueue::pop_batch), which blocks until at least one
-//! item is available and then *lingers* briefly to let a batch
-//! accumulate: it returns as soon as `max_batch` items are queued or the
-//! linger window expires, whichever comes first. Under load batches fill
-//! instantly (no added latency); when idle a single request pays at most
-//! the linger window.
+//! [`pop_batch_by_key`](BatchQueue::pop_batch_by_key), which blocks
+//! until at least one item is available and then *lingers* briefly to
+//! let a batch accumulate: it returns as soon as `max_batch` items are
+//! queued or the linger window expires, whichever comes first. Under
+//! load batches fill instantly (no added latency); when idle a single
+//! request pays at most the linger window. The batch is the items with
+//! the smallest keys, oldest first among equal keys, so a constant key
+//! pops in FIFO order.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -107,30 +109,15 @@ impl<T> BatchQueue<T> {
     /// `linger` for the batch to fill. Returns an empty vector only when
     /// the queue is closed *and* drained — the consumer's shutdown
     /// signal.
-    pub fn pop_batch(&self, max_batch: usize, linger: Duration) -> Vec<T> {
-        let max_batch = max_batch.max(1);
-        let state = self.state.lock().expect("queue poisoned");
-        let (mut state, take) = self.wait_for_batch(state, max_batch, linger);
-        if take == 0 {
-            return Vec::new();
-        }
-        let batch: Vec<T> = state.items.drain(..take).collect();
-        drop(state);
-        // A leftover backlog may be able to fill another consumer's
-        // batch.
-        self.changed.notify_one();
-        batch
-    }
-
-    /// Pops an adaptive micro-batch like [`pop_batch`](Self::pop_batch),
-    /// but selects the `max_batch` items with the *smallest* `key`
-    /// across the whole queue instead of the oldest ones, returning
-    /// them in key order (ties retire FIFO — the sort is stable over
-    /// queue position). Unselected items keep their relative order.
     ///
-    /// This is the deadline-aware consumption path: with a key of
-    /// "deadline, earliest first, `None` last", near-expiry work is
-    /// never starved behind a burst of far-deadline arrivals.
+    /// The batch is the `max_batch` items with the *smallest* `key`
+    /// across the whole queue, returned in key order (ties retire FIFO
+    /// — the sort is stable over queue position, so a constant key pops
+    /// the oldest items). Unselected items keep their relative order.
+    ///
+    /// Workers pop with a key of "deadline, earliest first, `None`
+    /// last", so near-expiry work is never starved behind a burst of
+    /// far-deadline arrivals.
     ///
     /// The scan is `O(n log n)` over the current depth — fine for the
     /// bounded queues this runtime uses (capacity ≤ a few thousand).
@@ -245,7 +232,7 @@ mod tests {
         let (item, err) = q.push(3).unwrap_err();
         assert_eq!((item, err), (3, PushError::Full));
         assert_eq!(q.len(), 2);
-        let batch = q.pop_batch(10, Duration::ZERO);
+        let batch = q.pop_batch_by_key(10, Duration::ZERO, |_| 0);
         assert_eq!(batch, vec![1, 2]);
         assert!(q.is_empty());
     }
@@ -256,8 +243,11 @@ mod tests {
         for i in 0..6 {
             q.push(i).unwrap();
         }
-        assert_eq!(q.pop_batch(4, Duration::ZERO), vec![0, 1, 2, 3]);
-        assert_eq!(q.pop_batch(4, Duration::ZERO), vec![4, 5]);
+        assert_eq!(
+            q.pop_batch_by_key(4, Duration::ZERO, |_| 0),
+            vec![0, 1, 2, 3]
+        );
+        assert_eq!(q.pop_batch_by_key(4, Duration::ZERO, |_| 0), vec![4, 5]);
     }
 
     #[test]
@@ -273,7 +263,7 @@ mod tests {
             vec![10, 20, 30]
         );
         // The survivors keep their relative queue order.
-        assert_eq!(q.pop_batch(8, Duration::ZERO), vec![40, 50]);
+        assert_eq!(q.pop_batch_by_key(8, Duration::ZERO, |_| 0), vec![40, 50]);
     }
 
     #[test]
@@ -286,7 +276,10 @@ mod tests {
         // (ids 1 then 3), then the oldest key-1 item (id 0).
         let batch = q.pop_batch_by_key(3, Duration::ZERO, |(_, k)| *k);
         assert_eq!(batch, vec![(1, 0), (3, 0), (0, 1)]);
-        assert_eq!(q.pop_batch(8, Duration::ZERO), vec![(2, 1), (4, 1)]);
+        assert_eq!(
+            q.pop_batch_by_key(8, Duration::ZERO, |_| 0),
+            vec![(2, 1), (4, 1)]
+        );
     }
 
     #[test]
@@ -309,9 +302,14 @@ mod tests {
         let (_, err) = q.push(8).unwrap_err();
         assert_eq!(err, PushError::Closed);
         // Pending items survive close...
-        assert_eq!(q.pop_batch(4, Duration::from_millis(50)), vec![7]);
+        assert_eq!(
+            q.pop_batch_by_key(4, Duration::from_millis(50), |_| 0),
+            vec![7]
+        );
         // ...and a drained closed queue returns the shutdown signal.
-        assert!(q.pop_batch(4, Duration::from_millis(50)).is_empty());
+        assert!(q
+            .pop_batch_by_key(4, Duration::from_millis(50), |_| 0)
+            .is_empty());
     }
 
     #[test]
@@ -328,7 +326,7 @@ mod tests {
         };
         // A generous linger window should collect everything the
         // producer trickles in.
-        let batch = q.pop_batch(4, Duration::from_millis(500));
+        let batch = q.pop_batch_by_key(4, Duration::from_millis(500), |_| 0);
         assert_eq!(batch, vec![0, 1, 2, 3]);
         producer.join().unwrap();
     }
@@ -344,10 +342,10 @@ mod tests {
         q.push(1).unwrap();
         let a = {
             let q = Arc::clone(&q);
-            thread::spawn(move || q.pop_batch(4, Duration::from_millis(100)))
+            thread::spawn(move || q.pop_batch_by_key(4, Duration::from_millis(100), |_| 0))
         };
         thread::sleep(Duration::from_millis(20)); // A is lingering
-        assert_eq!(q.pop_batch(4, Duration::ZERO), vec![1]); // B steals
+        assert_eq!(q.pop_batch_by_key(4, Duration::ZERO, |_| 0), vec![1]); // B steals
         thread::sleep(Duration::from_millis(20));
         q.push(2).unwrap();
         assert_eq!(a.join().unwrap(), vec![2], "A must outlive the theft");
@@ -358,7 +356,7 @@ mod tests {
         let q = Arc::new(BatchQueue::<u32>::new(4));
         let consumer = {
             let q = Arc::clone(&q);
-            thread::spawn(move || q.pop_batch(4, Duration::from_secs(10)))
+            thread::spawn(move || q.pop_batch_by_key(4, Duration::from_secs(10), |_| 0))
         };
         thread::sleep(Duration::from_millis(10));
         q.close();
@@ -385,7 +383,7 @@ mod tests {
         q.close();
         let mut seen = Vec::new();
         loop {
-            let batch = q.pop_batch(16, Duration::ZERO);
+            let batch = q.pop_batch_by_key(16, Duration::ZERO, |_| 0);
             if batch.is_empty() {
                 break;
             }

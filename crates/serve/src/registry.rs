@@ -8,15 +8,8 @@
 //! already resolved the old entry finish their in-flight requests on the
 //! network they started with, and pick up the new epoch on their next
 //! request.
-//!
-//! An entry can carry a **preferred lockstep batch width** — measured
-//! per model by [`bsnn_core::autotune::autotune_batch`], loaded from
-//! snapshot metadata, or set explicitly. Workers split every popped
-//! micro-batch into per-model sub-batches at that width, so each model
-//! runs at its own sweet spot.
 
 use crate::error::ServeError;
-use bsnn_core::autotune::{autotune_batch, AutotuneConfig, BatchPolicy};
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::snapshot;
 use bsnn_core::{ProfileSink, SpikingNetwork};
@@ -34,7 +27,6 @@ pub struct ModelEntry {
     network: SpikingNetwork,
     scheme: CodingScheme,
     phase_period: u32,
-    preferred_batch: Option<usize>,
     profile: Arc<ProfileSink>,
 }
 
@@ -64,13 +56,6 @@ impl ModelEntry {
     /// Input phase period `k` for phase-coded inputs.
     pub fn phase_period(&self) -> u32 {
         self.phase_period
-    }
-
-    /// The lockstep batch width this model should run at, if one was
-    /// measured or configured. Workers cap their sub-batches at this
-    /// width; `None` means "no preference" (run at the popped width).
-    pub fn preferred_batch(&self) -> Option<usize> {
-        self.preferred_batch
     }
 
     /// Inert: always empty (the removed sparse kernel's crossovers);
@@ -124,10 +109,10 @@ impl ModelRegistry {
         Self::default()
     }
 
-    /// Installs (or hot-swaps) `network` under `name` with no batch
-    /// preference; returns the new entry's epoch. In-flight requests on
-    /// a replaced model finish on the old entry, which stays alive for
-    /// as long as any worker holds its `Arc`.
+    /// Installs (or hot-swaps) `network` under `name`; returns the new
+    /// entry's epoch. In-flight requests on a replaced model finish on
+    /// the old entry, which stays alive for as long as any worker holds
+    /// its `Arc`.
     pub fn install(
         &self,
         name: impl Into<String>,
@@ -135,64 +120,7 @@ impl ModelRegistry {
         scheme: CodingScheme,
         phase_period: u32,
     ) -> u64 {
-        self.install_entry(name.into(), network, scheme, phase_period, None)
-    }
-
-    /// [`install`](Self::install) with an explicit preferred lockstep
-    /// batch width (`0` records no preference).
-    pub fn install_with_batch(
-        &self,
-        name: impl Into<String>,
-        network: SpikingNetwork,
-        scheme: CodingScheme,
-        phase_period: u32,
-        preferred_batch: usize,
-    ) -> u64 {
-        self.install_entry(
-            name.into(),
-            network,
-            scheme,
-            phase_period,
-            (preferred_batch > 0).then_some(preferred_batch),
-        )
-    }
-
-    /// Measures the model's [`BatchPolicy`] on a synthetic warm-up
-    /// (see [`autotune_batch`]) and installs it with the measured
-    /// preferred width. Returns the epoch and the policy evidence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Simulation`] if the warm-up probe fails.
-    pub fn install_autotuned(
-        &self,
-        name: impl Into<String>,
-        network: SpikingNetwork,
-        scheme: CodingScheme,
-        phase_period: u32,
-        cfg: &AutotuneConfig,
-    ) -> Result<(u64, BatchPolicy), ServeError> {
-        // Probe under the phase period the entry will serve with —
-        // input spike density (and so the break-even width) depends on
-        // it.
-        let probe_cfg = AutotuneConfig {
-            phase_period,
-            ..cfg.clone()
-        };
-        let policy = autotune_batch(&network, scheme, &probe_cfg)?;
-        let epoch =
-            self.install_with_batch(name, network, scheme, phase_period, policy.preferred_batch);
-        Ok((epoch, policy))
-    }
-
-    fn install_entry(
-        &self,
-        name: String,
-        network: SpikingNetwork,
-        scheme: CodingScheme,
-        phase_period: u32,
-        preferred_batch: Option<usize>,
-    ) -> u64 {
+        let name = name.into();
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed) + 1;
         // One profile cell per lockstep stage: hidden layers + output.
         let profile = Arc::new(ProfileSink::new(network.layers().len() + 1));
@@ -202,7 +130,6 @@ impl ModelRegistry {
             network,
             scheme,
             phase_period,
-            preferred_batch,
             profile,
         });
         self.models
@@ -213,9 +140,9 @@ impl ModelRegistry {
     }
 
     /// Installs a model from a `BSNN` snapshot stream (the format
-    /// written by [`bsnn_core::snapshot::save_network`]). A snapshot's
-    /// `preferred_batch` becomes the entry's batch preference, so
-    /// autotuned deployments survive the save/ship/load round trip.
+    /// written by [`bsnn_core::snapshot::save_network`]). Only the
+    /// network is kept: a lockstep width recorded by an older writer is
+    /// discarded, like the rest of the stream's metadata.
     ///
     /// # Errors
     ///
@@ -231,17 +158,11 @@ impl ModelRegistry {
         scheme: CodingScheme,
         phase_period: u32,
     ) -> Result<u64, ServeError> {
-        let (network, meta) = snapshot::load_network_with_meta(reader).map_err(|e| match e {
+        let network = snapshot::load_network(reader).map_err(|e| match e {
             snapshot::SnapshotError::Checksum { .. } => ServeError::SnapshotChecksum(e.to_string()),
             other => ServeError::Snapshot(other.to_string()),
         })?;
-        Ok(self.install_with_batch(
-            name,
-            network,
-            scheme,
-            phase_period,
-            meta.preferred_batch as usize,
-        ))
+        Ok(self.install(name, network, scheme, phase_period))
     }
 
     /// Resolves a model by name.
@@ -345,7 +266,6 @@ mod tests {
         let entry = reg.get("snap").unwrap();
         assert_eq!(entry.epoch(), epoch);
         assert_eq!(entry.network().input_len(), 2);
-        assert_eq!(entry.preferred_batch(), None, "plain snapshot: no policy");
         // Corrupt stream surfaces as a snapshot error.
         let err = reg
             .install_snapshot("bad", &b"NOPE"[..], CodingScheme::recommended(), 8)
@@ -372,68 +292,5 @@ mod tests {
             "expected the typed checksum error, got {err:?}"
         );
         assert!(reg.is_empty(), "nothing installed from a corrupt stream");
-    }
-
-    #[test]
-    fn preferred_batch_travels_through_install_paths() {
-        let reg = ModelRegistry::new();
-        // Plain install records no preference; explicit install does;
-        // zero means "unset".
-        reg.install("plain", tiny_network(1.0), CodingScheme::recommended(), 8);
-        assert_eq!(reg.get("plain").unwrap().preferred_batch(), None);
-        reg.install_with_batch(
-            "tuned",
-            tiny_network(1.0),
-            CodingScheme::recommended(),
-            8,
-            16,
-        );
-        assert_eq!(reg.get("tuned").unwrap().preferred_batch(), Some(16));
-        reg.install_with_batch(
-            "unset",
-            tiny_network(1.0),
-            CodingScheme::recommended(),
-            8,
-            0,
-        );
-        assert_eq!(reg.get("unset").unwrap().preferred_batch(), None);
-        // The batch preference survives the save/ship/load round trip;
-        // the removed kernels' accessors stay empty.
-        let mut buf = Vec::new();
-        bsnn_core::snapshot::save_network_with_meta(
-            &tiny_network(1.0),
-            bsnn_core::snapshot::SnapshotMeta { preferred_batch: 4 },
-            &mut buf,
-        )
-        .unwrap();
-        reg.install_snapshot("shipped", buf.as_slice(), CodingScheme::recommended(), 8)
-            .unwrap();
-        let shipped = reg.get("shipped").unwrap();
-        assert_eq!(shipped.preferred_batch(), Some(4));
-        assert!(shipped.density_thresholds().is_empty());
-        assert!(shipped.packed_thresholds().is_empty());
-        assert!(shipped.quant_thresholds().is_empty());
-        assert!(shipped.quant_eligible().is_empty());
-    }
-
-    #[test]
-    fn install_autotuned_measures_and_records_a_policy() {
-        let reg = ModelRegistry::new();
-        let cfg = AutotuneConfig {
-            steps: 4,
-            reps: 1,
-            ..AutotuneConfig::default()
-        };
-        let scheme = CodingScheme::new(
-            bsnn_core::coding::InputCoding::Real,
-            bsnn_core::coding::HiddenCoding::Rate,
-        );
-        let (epoch, policy) = reg
-            .install_autotuned("digits", tiny_network(1.0), scheme, 8, &cfg)
-            .unwrap();
-        let entry = reg.get("digits").unwrap();
-        assert_eq!(entry.epoch(), epoch);
-        assert_eq!(entry.preferred_batch(), Some(policy.preferred_batch));
-        assert!(cfg.widths.contains(&policy.preferred_batch));
     }
 }

@@ -4,13 +4,11 @@
 //! Each popped micro-batch is grouped by model name and every group is
 //! stepped through one [`BatchedNetwork`] simultaneously — the SIMD-
 //! friendly SoA kernels in `bsnn-core` make the arithmetic itself
-//! batched, not just the queue synchronization. A model with a measured
-//! [`preferred_batch`](crate::registry::ModelEntry::preferred_batch) is
-//! further split into sub-batches of that width: wide lockstep batches
-//! gain little on event-skip-bound models (small MLPs), so the right
-//! width is per model, not per queue pop. Per-request [`crate::ExitPolicy`]s
-//! are evaluated every step, so early-exiting lanes retire (freeze,
-//! stop spiking) while the rest of the batch continues.
+//! batched, not just the queue synchronization. A group runs at its
+//! popped width, which the queue caps at `max_batch`, the width every
+//! worker engine is built for. Per-request [`crate::ExitPolicy`]s are
+//! evaluated every step, so early-exiting lanes retire (freeze, stop
+//! spiking) while the rest of the batch continues.
 
 use crate::error::ServeError;
 use crate::exit::run_batch_with_policies_each;
@@ -230,16 +228,9 @@ fn serve_group(
             lanes.push(queued);
         }
     }
-    // The model's measured batch policy caps the lockstep width: an
-    // event-skip-bound model (preferred width 1) runs its requests
-    // scalar even when the queue handed the worker a wide batch.
-    let width_cap = entry
-        .preferred_batch()
-        .unwrap_or(max_batch)
-        .clamp(1, max_batch);
     let mut lanes = lanes.into_iter();
     loop {
-        let chunk: Vec<QueuedRequest> = lanes.by_ref().take(width_cap).collect();
+        let chunk: Vec<QueuedRequest> = lanes.by_ref().take(max_batch).collect();
         if chunk.is_empty() {
             break;
         }
@@ -377,95 +368,84 @@ mod tests {
         }
     }
 
-    /// The per-model batch policy is honored at the lockstep level: an
-    /// MLP-tagged entry (preferred width 1) is split to scalar runs, a
-    /// conv-tagged entry keeps the popped width, and a mid preference
-    /// chunks with a remainder — all pinned via each response's
-    /// `batch_size`.
-    #[test]
-    fn preferred_batch_splits_popped_groups() {
-        let scheme = CodingScheme::new(InputCoding::Real, HiddenCoding::Rate);
-        let registry = ModelRegistry::new();
-        registry.install_with_batch("mlp", tiny_network(), scheme, 8, 1);
-        registry.install_with_batch("conv", tiny_network(), scheme, 8, 16);
-        registry.install_with_batch("mid", tiny_network(), scheme, 8, 3);
-        let metrics = ServeMetrics::new();
-        let mut cache = HashMap::new();
-        let max_batch = 16;
-
-        let (group, handles): (Vec<_>, Vec<_>) = (0..16).map(|_| queued("mlp")).unzip();
-        serve_group(
-            "mlp",
-            group,
-            &registry,
-            &mut cache,
-            max_batch,
-            &metrics,
-            &ctx(),
-        );
-        for handle in handles {
-            assert_eq!(handle.wait().unwrap().batch_size, 1, "mlp must run scalar");
-        }
-
-        let (group, handles): (Vec<_>, Vec<_>) = (0..16).map(|_| queued("conv")).unzip();
-        serve_group(
-            "conv",
-            group,
-            &registry,
-            &mut cache,
-            max_batch,
-            &metrics,
-            &ctx(),
-        );
-        for handle in handles {
-            assert_eq!(
-                handle.wait().unwrap().batch_size,
-                16,
-                "conv keeps the popped width"
-            );
-        }
-
-        let (group, handles): (Vec<_>, Vec<_>) = (0..4).map(|_| queued("mid")).unzip();
-        serve_group(
-            "mid",
-            group,
-            &registry,
-            &mut cache,
-            max_batch,
-            &metrics,
-            &ctx(),
-        );
-        let widths: Vec<usize> = handles
-            .into_iter()
-            .map(|h| h.wait().unwrap().batch_size)
-            .collect();
-        assert_eq!(widths, vec![3, 3, 3, 1], "arrival order chunks of 3");
-    }
-
-    /// Without a preference the popped width is kept, and a preference
-    /// wider than the worker's `max_batch` is capped to it.
+    /// A popped group runs at its popped width, and a group wider than
+    /// the worker's `max_batch` is chunked at `max_batch` in arrival
+    /// order.
     #[test]
     fn unset_preference_keeps_width_and_wide_preference_is_capped() {
         let scheme = CodingScheme::new(InputCoding::Real, HiddenCoding::Rate);
         let registry = ModelRegistry::new();
-        registry.install("plain", tiny_network(), scheme, 8);
-        registry.install_with_batch("wide", tiny_network(), scheme, 8, 64);
+        registry.install("m", tiny_network(), scheme, 8);
         let metrics = ServeMetrics::new();
-        let mut cache = HashMap::new();
 
-        let (group, handles): (Vec<_>, Vec<_>) = (0..5).map(|_| queued("plain")).unzip();
-        serve_group("plain", group, &registry, &mut cache, 8, &metrics, &ctx());
+        let (group, handles): (Vec<_>, Vec<_>) = (0..5).map(|_| queued("m")).unzip();
+        serve_group(
+            "m",
+            group,
+            &registry,
+            &mut HashMap::new(),
+            8,
+            &metrics,
+            &ctx(),
+        );
         for handle in handles {
             assert_eq!(handle.wait().unwrap().batch_size, 5);
         }
 
-        let (group, handles): (Vec<_>, Vec<_>) = (0..6).map(|_| queued("wide")).unzip();
-        serve_group("wide", group, &registry, &mut cache, 4, &metrics, &ctx());
+        let (group, handles): (Vec<_>, Vec<_>) = (0..10).map(|_| queued("m")).unzip();
+        serve_group(
+            "m",
+            group,
+            &registry,
+            &mut HashMap::new(),
+            4,
+            &metrics,
+            &ctx(),
+        );
         let widths: Vec<usize> = handles
             .into_iter()
             .map(|h| h.wait().unwrap().batch_size)
             .collect();
-        assert_eq!(widths, vec![4, 4, 4, 4, 2, 2], "capped at max_batch");
+        assert_eq!(
+            widths,
+            vec![4, 4, 4, 4, 4, 4, 4, 4, 2, 2],
+            "chunked at max_batch"
+        );
+    }
+
+    /// A lockstep width recorded in an older snapshot is discarded: a
+    /// stream carrying width 4 installs, and a popped group of 8 runs as
+    /// one lockstep batch of 8.
+    #[test]
+    fn snapshot_width_does_not_split_popped_groups() {
+        let mut stream = Vec::new();
+        bsnn_core::snapshot::save_network(&tiny_network(), &mut stream).unwrap();
+        // Write 4 into the width word (after magic and version), then
+        // recompute the checksum trailer.
+        stream.truncate(stream.len() - 8);
+        stream[8..12].copy_from_slice(&4u32.to_le_bytes());
+        let digest = bsnn_core::snapshot::fnv1a(&stream);
+        stream.extend_from_slice(&digest.to_le_bytes());
+        let scheme = CodingScheme::new(InputCoding::Real, HiddenCoding::Rate);
+        let registry = ModelRegistry::new();
+        registry
+            .install_snapshot("shipped", stream.as_slice(), scheme, 8)
+            .unwrap();
+        let metrics = ServeMetrics::new();
+
+        let (group, handles): (Vec<_>, Vec<_>) = (0..8).map(|_| queued("shipped")).unzip();
+        serve_group(
+            "shipped",
+            group,
+            &registry,
+            &mut HashMap::new(),
+            8,
+            &metrics,
+            &ctx(),
+        );
+        for handle in handles {
+            assert_eq!(handle.wait().unwrap().batch_size, 8);
+        }
     }
 
     #[test]

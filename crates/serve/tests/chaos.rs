@@ -16,7 +16,6 @@
 
 use bsnn_core::coding::CodingScheme;
 use bsnn_core::layer::{SpikingLayer, ThresholdPolicy};
-use bsnn_core::snapshot::SnapshotMeta;
 use bsnn_core::synapse::Synapse;
 use bsnn_core::{save_network_to_path, SpikingNetwork};
 use bsnn_serve::fault::{corrupt_bit, truncate_len};
@@ -181,7 +180,7 @@ fn poison_model_is_quarantined_after_repeated_panics() {
 #[test]
 fn corrupted_snapshots_are_rejected_and_last_good_epoch_serves() {
     let dir = fresh_dir("rot");
-    save_network_to_path(&tiny_network(), SnapshotMeta::default(), dir.join("m.bsnn")).unwrap();
+    save_network_to_path(&tiny_network(), dir.join("m.bsnn")).unwrap();
 
     let registry = Arc::new(ModelRegistry::new());
     let mut watcher = SnapshotWatcher::new(&dir, Arc::clone(&registry), WatchConfig::default());

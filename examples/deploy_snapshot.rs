@@ -9,7 +9,6 @@ use burst_snn::analysis::ActivityReport;
 use burst_snn::core::coding::CodingScheme;
 use burst_snn::core::convert::{convert, ConversionConfig};
 use burst_snn::core::simulator::{infer_image, record_spike_trains, EvalConfig};
-use burst_snn::core::snapshot::SnapshotMeta;
 use burst_snn::core::{load_network, save_network_to_path};
 use burst_snn::data::SynthSpec;
 use burst_snn::dnn::models;
@@ -38,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ...snapshot to disk (atomic temp-file + rename, so a watcher or a
     // crashed writer can never observe a half-written snapshot)...
     let path = std::env::temp_dir().join("burst-snn-quickstart.bsnn");
-    save_network_to_path(&snn, SnapshotMeta::default(), &path)?;
+    save_network_to_path(&snn, &path)?;
     let bytes = std::fs::metadata(&path)?.len();
     println!("snapshot written: {} ({bytes} bytes)", path.display());
 

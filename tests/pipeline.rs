@@ -5,7 +5,9 @@
 use burst_snn::analysis::{burst_composition, population_firing, IsiHistogram};
 use burst_snn::core::coding::{CodingScheme, HiddenCoding, InputCoding};
 use burst_snn::core::convert::{convert, ConversionConfig, Normalization};
-use burst_snn::core::simulator::{evaluate_dataset, record_spike_trains, EvalConfig};
+use burst_snn::core::simulator::{
+    evaluate_dataset, evaluate_dataset_batched, record_spike_trains, EvalConfig,
+};
 use burst_snn::data::SynthSpec;
 use burst_snn::dnn::models;
 use burst_snn::dnn::train::{evaluate, TrainConfig, Trainer};
@@ -274,9 +276,7 @@ fn parallel_evaluation_matches_sequential_for_all_thread_counts() {
     let mut seq = snn.clone();
     let sequential = evaluate_dataset(&mut seq, &p.test, &cfg).expect("sequential");
     for threads in [1, 2, 3, 8] {
-        let parallel =
-            burst_snn::core::simulator::evaluate_dataset_parallel(&snn, &p.test, &cfg, threads)
-                .expect("parallel");
+        let parallel = evaluate_dataset_batched(&snn, &p.test, &cfg, threads, 1).expect("parallel");
         assert_eq!(
             sequential.accuracy_at, parallel.accuracy_at,
             "accuracy curve diverged at {threads} threads"
