@@ -29,7 +29,8 @@ use bsnn_tensor::Tensor;
 /// loops onto the *output* axis, assembling vectors of strided `psp`
 /// elements with `movss`+`unpcklps` gathers; measured on the dense
 /// 144×32 stage that made batch 4 *2.6× slower* per lane than batch 1
-/// (the BENCH_core.json batch-4 regression). Spelling the quads as
+/// (the MLP's batch-4 regression; `batched_sim`'s `mlp` group times
+/// that width). Spelling the quads as
 /// vector IR pins the lane-innermost strategy. `_mm_mul_ps`/`_mm_add_ps`
 /// round exactly like the scalar `mul`+`add` (no fused contraction), so
 /// results stay bit-identical to [`Synapse::accumulate`].

@@ -263,7 +263,6 @@ fn main() -> ExitCode {
             queue_high_watermark: args.watermark,
             degrade_watermark: args.degrade_watermark,
             degraded_max_steps: args.degrade_max_steps,
-            ..ShedConfig::default()
         },
         ..NetConfig::default()
     };

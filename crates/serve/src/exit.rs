@@ -239,28 +239,6 @@ pub fn run_batch_with_policies_each(
     Ok(())
 }
 
-/// [`run_batch_with_policies_each`] with the outcomes collected into a
-/// lane-indexed vector.
-///
-/// # Errors
-///
-/// See [`run_batch_with_policies_each`].
-pub fn run_batch_with_policies(
-    engine: &mut BatchedNetwork,
-    images: &[&[f32]],
-    entry: &ModelEntry,
-    policies: &[ExitPolicy],
-) -> Result<Vec<ExitOutcome>, ServeError> {
-    let mut outcomes: Vec<Option<ExitOutcome>> = vec![None; images.len()];
-    run_batch_with_policies_each(engine, images, entry, policies, |lane, outcome| {
-        outcomes[lane] = Some(outcome);
-    })?;
-    Ok(outcomes
-        .into_iter()
-        .map(|o| o.expect("every lane retires by its hard horizon"))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,6 +364,26 @@ mod tests {
         assert!(matches!(err, ServeError::InvalidPolicy(_)));
     }
 
+    /// Runs [`run_batch_with_policies_each`] and returns the outcomes in
+    /// lane order, asserting every lane was reported exactly once.
+    fn run_each(
+        engine: &mut BatchedNetwork,
+        images: &[&[f32]],
+        entry: &ModelEntry,
+        policies: &[ExitPolicy],
+    ) -> Result<Vec<ExitOutcome>, ServeError> {
+        let mut outcomes: Vec<Option<ExitOutcome>> = vec![None; images.len()];
+        run_batch_with_policies_each(engine, images, entry, policies, |lane, outcome| {
+            assert!(outcomes[lane].is_none(), "lane {lane} reported twice");
+            outcomes[lane] = Some(outcome);
+        })?;
+        Ok(outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(lane, o)| o.unwrap_or_else(|| panic!("lane {lane} never reported")))
+            .collect())
+    }
+
     #[test]
     fn lockstep_batch_matches_scalar_per_lane() {
         // Mixed per-lane policies (different horizons, different exit
@@ -420,8 +418,7 @@ mod tests {
         let mut engine =
             bsnn_core::batch::BatchedNetwork::new(entry.network().clone(), images.len()).unwrap();
         let refs: Vec<&[f32]> = images.iter().map(|i| i.as_slice()).collect();
-        let batched = run_batch_with_policies(&mut engine, &refs, &entry, &policies).unwrap();
-        assert_eq!(batched.len(), images.len());
+        let batched = run_each(&mut engine, &refs, &entry, &policies).unwrap();
         for (lane, (image, policy)) in images.iter().zip(&policies).enumerate() {
             let mut net = entry.network().clone();
             let solo = run_with_policy(&mut net, image, &entry, policy).unwrap();
@@ -440,7 +437,7 @@ mod tests {
         let mut engine = bsnn_core::batch::BatchedNetwork::new(entry.network().clone(), 2).unwrap();
         let img: &[f32] = &[0.5, 0.5];
         // Length mismatch between images and policies.
-        let err = run_batch_with_policies(
+        let err = run_each(
             &mut engine,
             &[img],
             &entry,
@@ -452,7 +449,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)));
         // Invalid policy rejected before simulation.
-        let err = run_batch_with_policies(
+        let err = run_each(
             &mut engine,
             &[img],
             &entry,
@@ -461,7 +458,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ServeError::InvalidPolicy(_)));
         // Empty batch.
-        let err = run_batch_with_policies(&mut engine, &[], &entry, &[]).unwrap_err();
+        let err = run_each(&mut engine, &[], &entry, &[]).unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)));
     }
 }

@@ -69,8 +69,8 @@
 //! CLI; `bsnn_server` exposes it over TCP and `bsnn_loadgen` drives it
 //! open-loop (fixed-rate or bursty arrivals, latency quantiles measured
 //! from scheduled arrival). [`loadgen`] provides both the closed-loop
-//! generator used by the demo/bench and the open-loop harnesses
-//! ([`loadgen::run_open_loop`], [`loadgen::run_open_loop_net`]).
+//! generator used by the demo/bench and the open-loop TCP harness
+//! ([`loadgen::run_open_loop_net`]).
 //!
 //! ```text
 //! clients ──submit()──▶ BatchQueue ──pop_batch_by_key()──▶ worker threads ──▶ ResponseHandle
@@ -96,13 +96,11 @@ pub mod watch;
 mod worker;
 
 pub use error::ServeError;
-pub use exit::{
-    run_batch_with_policies, run_batch_with_policies_each, run_with_policy, ExitOutcome,
-};
+pub use exit::{run_batch_with_policies_each, run_with_policy, ExitOutcome};
 pub use fault::FaultPlan;
 pub use loadgen::{
-    run_closed_loop, run_open_loop, run_open_loop_net, ArrivalProcess, LoadReport, LoadSpec,
-    OpenLoadReport, OpenLoadSpec,
+    run_closed_loop, run_open_loop_net, ArrivalProcess, LoadReport, LoadSpec, OpenLoadReport,
+    OpenLoadSpec,
 };
 pub use metrics::{Histogram, MetricsSnapshot, ServeMetrics};
 pub use net::{

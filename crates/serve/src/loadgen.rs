@@ -6,10 +6,10 @@
 //! offered load adapts to service rate, and `QueueFull` rejections show
 //! up as retries instead of dropped samples.
 //!
-//! [`run_open_loop`] / [`run_open_loop_net`] instead offer load on a
-//! fixed [`ArrivalProcess`] schedule that does **not** adapt to the
-//! server — the only honest way to measure a latency SLO at a stated
-//! offered rate, and the only way to provoke load shedding on purpose.
+//! [`run_open_loop_net`] instead offers load to a TCP server on a fixed
+//! [`ArrivalProcess`] schedule that does **not** adapt to the server —
+//! the only honest way to measure a latency SLO at a stated offered
+//! rate, and the only way to provoke load shedding on purpose.
 //! Latency is measured from each request's *scheduled* arrival time, so
 //! a generator that falls behind charges its own lateness to the server
 //! rather than silently thinning the offered load (no coordinated
@@ -17,9 +17,8 @@
 
 use crate::metrics::Histogram;
 use crate::net::{decode_response, encode_request_with_deadline, FrameReader, NetResponse};
-use crate::request::{ExitPolicy, ExitReason, InferRequest, ResponseHandle};
+use crate::request::{ExitPolicy, ExitReason, InferRequest};
 use crate::runtime::ServeRuntime;
-use crate::shed::{AdmissionControl, AdmitError, ShedConfig};
 use crate::ServeError;
 use std::collections::HashMap;
 use std::fmt;
@@ -210,8 +209,7 @@ pub struct OpenLoadSpec {
     pub duration: Duration,
     /// The arrival schedule.
     pub arrival: ArrivalProcess,
-    /// Sender threads (in-process) or TCP connections (networked); the
-    /// schedule is split round-robin across them.
+    /// TCP connections; the schedule is split round-robin across them.
     pub connections: usize,
     /// Exit policy attached to every request.
     pub policy: ExitPolicy,
@@ -219,9 +217,6 @@ pub struct OpenLoadSpec {
     pub model: String,
     /// How long to wait for in-flight responses after the schedule ends.
     pub drain_timeout: Duration,
-    /// Admission control used by the in-process runner (the networked
-    /// runner sheds server-side and ignores this).
-    pub shed: ShedConfig,
     /// Optional per-request deadline, measured from each request's
     /// *scheduled* arrival (a generator that falls behind charges its
     /// own lateness against the deadline, consistent with how latency
@@ -240,7 +235,6 @@ impl OpenLoadSpec {
             policy: ExitPolicy::recommended(96),
             model: model.into(),
             drain_timeout: Duration::from_secs(5),
-            shed: ShedConfig::default(),
             deadline: None,
         }
     }
@@ -251,7 +245,8 @@ impl OpenLoadSpec {
 pub struct OpenLoadReport {
     /// Requests the schedule offered.
     pub offered: usize,
-    /// Requests admitted into the runtime (not shed, not rejected).
+    /// Requests the server admitted: offered minus shed, deadline
+    /// refusals, errors and protocol errors.
     pub admitted: usize,
     /// Admitted requests answered successfully.
     pub completed: usize,
@@ -351,7 +346,6 @@ impl fmt::Display for OpenLoadReport {
 #[derive(Default)]
 struct OpenTally {
     offered: AtomicUsize,
-    admitted: AtomicUsize,
     completed: AtomicUsize,
     shed: AtomicUsize,
     deadline_exceeded: AtomicUsize,
@@ -369,17 +363,26 @@ fn open_report(
 ) -> OpenLoadReport {
     let offered = tally.offered.load(Ordering::Relaxed);
     let completed = tally.completed.load(Ordering::Relaxed);
+    let shed = tally.shed.load(Ordering::Relaxed);
+    let deadline_exceeded = tally.deadline_exceeded.load(Ordering::Relaxed);
+    let errors = tally.errors.load(Ordering::Relaxed);
+    let protocol_errors = tally.protocol_errors.load(Ordering::Relaxed);
     let window = spec.duration.as_secs_f64().max(1e-9);
     OpenLoadReport {
         offered,
-        admitted: tally.admitted.load(Ordering::Relaxed),
+        // Over the wire, everything sent that wasn't refused (shed,
+        // deadline-expired at admission) or errored was admitted by the
+        // server. Deadline refusals past admission are indistinguishable
+        // from admission-time ones on the wire, so all count as not
+        // admitted — the conservative reading for capacity claims.
+        admitted: offered.saturating_sub(shed + deadline_exceeded + errors + protocol_errors),
         completed,
-        shed: tally.shed.load(Ordering::Relaxed),
-        deadline_exceeded: tally.deadline_exceeded.load(Ordering::Relaxed),
+        shed,
+        deadline_exceeded,
         degraded: tally.degraded.load(Ordering::Relaxed),
-        errors: tally.errors.load(Ordering::Relaxed),
+        errors,
         dropped: tally.dropped.load(Ordering::Relaxed),
-        protocol_errors: tally.protocol_errors.load(Ordering::Relaxed),
+        protocol_errors,
         elapsed,
         offered_rps: offered as f64 / window,
         completed_rps: completed as f64 / window,
@@ -403,120 +406,6 @@ fn wait_until(deadline: Instant) {
     if let Some(remaining) = deadline.checked_duration_since(Instant::now()) {
         std::thread::sleep(remaining);
     }
-}
-
-/// Offers `spec.arrival` directly to an in-process runtime through
-/// admission control (`spec.shed`), cycling over `images`.
-///
-/// Sheds are *not* retried — an open-loop generator that retries is a
-/// closed-loop generator in denial. The report's latency quantiles cover
-/// completed requests only, measured from scheduled arrival.
-pub fn run_open_loop(
-    runtime: &Arc<ServeRuntime>,
-    images: &[Vec<f32>],
-    spec: &OpenLoadSpec,
-) -> OpenLoadReport {
-    assert!(
-        !images.is_empty(),
-        "load generator needs at least one image"
-    );
-    let admission = AdmissionControl::new(Arc::clone(runtime), &spec.shed);
-    let offsets = spec.arrival.offsets(spec.duration);
-    let connections = spec.connections.max(1);
-    let tally = OpenTally::default();
-    let latency = latency_histogram();
-    let started = Instant::now();
-
-    std::thread::scope(|scope| {
-        for c in 0..connections {
-            let admission = &admission;
-            let tally = &tally;
-            let latency = &latency;
-            let offsets = &offsets;
-            scope.spawn(move || {
-                // (scheduled arrival, handle) for in-flight requests.
-                let mut pending: Vec<(Instant, ResponseHandle)> = Vec::new();
-                let poll = |pending: &mut Vec<(Instant, ResponseHandle)>| {
-                    let mut i = 0;
-                    while i < pending.len() {
-                        if pending[i].1.is_ready() {
-                            let (scheduled, handle) = pending.swap_remove(i);
-                            match handle.wait() {
-                                Ok(resp) => {
-                                    tally.completed.fetch_add(1, Ordering::Relaxed);
-                                    if resp.degraded {
-                                        tally.degraded.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    latency.record(scheduled.elapsed().as_micros().max(1) as u64);
-                                }
-                                Err(ServeError::DeadlineExceeded) => {
-                                    tally.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(_) => {
-                                    tally.errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        } else {
-                            i += 1;
-                        }
-                    }
-                };
-                for (i, offset) in offsets.iter().enumerate().skip(c).step_by(connections) {
-                    let scheduled = started + *offset;
-                    wait_until(scheduled);
-                    poll(&mut pending);
-                    tally.offered.fetch_add(1, Ordering::Relaxed);
-                    let mut request = InferRequest::new(
-                        images[i % images.len()].clone(),
-                        spec.model.clone(),
-                        spec.policy.clone(),
-                    );
-                    if let Some(d) = spec.deadline {
-                        request = request.with_deadline(scheduled + d);
-                    }
-                    match admission.try_admit(request) {
-                        Ok(handle) => {
-                            tally.admitted.fetch_add(1, Ordering::Relaxed);
-                            pending.push((scheduled, handle));
-                        }
-                        Err(AdmitError::Shed(_)) => {
-                            tally.shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(AdmitError::Rejected(ServeError::DeadlineExceeded)) => {
-                            tally.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(AdmitError::Rejected(_)) => {
-                            tally.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                // Drain what's still in flight.
-                let deadline = Instant::now() + spec.drain_timeout;
-                for (scheduled, handle) in pending {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    match handle.wait_timeout(remaining) {
-                        Ok(Ok(resp)) => {
-                            tally.completed.fetch_add(1, Ordering::Relaxed);
-                            if resp.degraded {
-                                tally.degraded.fetch_add(1, Ordering::Relaxed);
-                            }
-                            latency.record(scheduled.elapsed().as_micros().max(1) as u64);
-                        }
-                        Ok(Err(ServeError::DeadlineExceeded)) => {
-                            tally.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(Err(_)) => {
-                            tally.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            tally.dropped.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    open_report(&tally, &latency, spec, started.elapsed())
 }
 
 /// Offers `spec.arrival` to a [`crate::net::NetServer`] at `addr` over
@@ -680,16 +569,7 @@ pub fn run_open_loop_net<A: ToSocketAddrs>(
         Ok(())
     })?;
 
-    let mut report = open_report(&tally, &latency, spec, started.elapsed());
-    // Over the wire, everything sent that wasn't refused (shed,
-    // deadline-expired at admission) or errored was admitted by the
-    // server. Deadline refusals past admission are indistinguishable
-    // from admission-time ones on the wire, so all count as not
-    // admitted — the conservative reading for capacity claims.
-    report.admitted = report.offered.saturating_sub(
-        report.shed + report.deadline_exceeded + report.errors + report.protocol_errors,
-    );
-    Ok(report)
+    Ok(open_report(&tally, &latency, spec, started.elapsed()))
 }
 
 #[cfg(test)]

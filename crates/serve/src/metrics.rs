@@ -233,13 +233,6 @@ impl ServeMetrics {
         self.batch.record(occupancy as u64);
     }
 
-    /// The current approximate p99 end-to-end latency in µs (0 when no
-    /// request completed yet). Cheap enough to poll per admission — the
-    /// brownout controller uses it as its latency signal.
-    pub fn latency_p99_us(&self) -> u64 {
-        self.latency_us.quantile(0.99)
-    }
-
     /// Counts one worker respawn after a panic.
     pub fn observe_worker_restart(&self) {
         self.worker_restarts.fetch_add(1, Ordering::Relaxed);

@@ -1584,16 +1584,12 @@ impl BackoffPolicy {
 
 /// A simple blocking client for the framed protocol — one request in
 /// flight at a time (the open-loop load generator manages its own
-/// streams for pipelining). Remembers its resolved address, so a dead
-/// server can be re-dialed with [`reconnect`](Self::reconnect) under a
-/// [`BackoffPolicy`].
+/// streams for pipelining).
 #[derive(Debug)]
 pub struct NetClient {
     stream: TcpStream,
     reader: FrameReader<TcpStream>,
     next_id: u64,
-    addr: SocketAddr,
-    backoff: BackoffPolicy,
 }
 
 impl NetClient {
@@ -1613,8 +1609,7 @@ impl NetClient {
         )
     }
 
-    /// Connects to a [`NetServer`], retrying under `backoff`; the policy
-    /// is kept for later [`reconnect`](Self::reconnect)s.
+    /// Connects to a [`NetServer`], retrying under `backoff`.
     ///
     /// # Errors
     ///
@@ -1632,8 +1627,6 @@ impl NetClient {
             stream,
             reader,
             next_id: 1,
-            addr,
-            backoff,
         })
     }
 
@@ -1655,21 +1648,6 @@ impl NetClient {
         Err(last.expect("at least one dial attempt runs"))
     }
 
-    /// Drops the current stream (and any unread frames on it) and
-    /// re-dials the remembered address under the client's backoff
-    /// policy. Pending request ids are abandoned; the id counter is not
-    /// reset, so stale responses can never be confused for new ones.
-    ///
-    /// # Errors
-    ///
-    /// The last connection-level I/O error once attempts are exhausted.
-    pub fn reconnect(&mut self) -> io::Result<()> {
-        let stream = Self::dial(self.addr, &self.backoff)?;
-        self.reader = FrameReader::new(stream.try_clone()?, usize::MAX >> 1);
-        self.stream = stream;
-        Ok(())
-    }
-
     /// Sends one request and blocks for its response (requests and
     /// responses are matched by id, so interleaved server output is
     /// handled).
@@ -1683,41 +1661,10 @@ impl NetClient {
         policy: &ExitPolicy,
         image: &[f32],
     ) -> io::Result<NetResponse> {
-        self.call_inner(model, policy, image, 0)
-    }
-
-    /// Like [`call`](Self::call), but gives the server `deadline` to
-    /// answer — past it the server responds
-    /// [`NetResponse::DeadlineExceeded`] instead of occupying a batch
-    /// lane.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, or `InvalidData` for undecodable response bytes.
-    pub fn call_with_deadline(
-        &mut self,
-        model: &str,
-        policy: &ExitPolicy,
-        image: &[f32],
-        deadline: Duration,
-    ) -> io::Result<NetResponse> {
-        let deadline_us = u64::try_from(deadline.as_micros())
-            .unwrap_or(u64::MAX)
-            .max(1);
-        self.call_inner(model, policy, image, deadline_us)
-    }
-
-    fn call_inner(
-        &mut self,
-        model: &str,
-        policy: &ExitPolicy,
-        image: &[f32],
-        deadline_us: u64,
-    ) -> io::Result<NetResponse> {
         let id = self.next_id;
         self.next_id += 1;
         let mut buf = Vec::with_capacity(64 + image.len() * 4);
-        encode_request_with_deadline(&mut buf, id, model, policy, image, deadline_us)
+        encode_request(&mut buf, id, model, policy, image)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         self.stream.write_all(&buf)?;
         loop {

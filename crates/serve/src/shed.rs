@@ -14,10 +14,9 @@
 //!
 //! Between "fine" and "refuse" sits a third state the anytime outputs of
 //! burst-coded SNNs make cheap: **Degraded**. Past a first (lower)
-//! watermark — or when the observed p99 latency blows through a
-//! configured ceiling — the controller keeps admitting but tightens each
-//! request's [`ExitPolicy`] (capped step horizon, more aggressive
-//! confidence margin), trading a little accuracy for a lot of capacity.
+//! watermark the controller keeps admitting but tightens each request's
+//! [`ExitPolicy`] (capped step horizon, more aggressive confidence
+//! margin), trading a little accuracy for a lot of capacity.
 //! Degraded answers are flagged on the response so clients can tell
 //! them apart; only past the second watermark does the server shed.
 //! Degradation never touches kernel results — it only narrows the exit
@@ -38,7 +37,7 @@ use std::time::Instant;
 
 /// When to refuse work instead of queueing it, and when to degrade it
 /// instead of refusing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShedConfig {
     /// Refuse new requests while the queue holds at least this many.
     /// `0` (the default) means "derive from the runtime": 3/4 of the
@@ -47,41 +46,24 @@ pub struct ShedConfig {
     pub queue_high_watermark: usize,
     /// Enter [`BrownoutState::Degraded`] while the queue holds at least
     /// this many (must sit below the shed watermark to matter). `0` (the
-    /// default) disables depth-driven degradation.
+    /// default) disables degradation.
     pub degrade_watermark: usize,
-    /// Enter [`BrownoutState::Degraded`] while the observed p99
-    /// end-to-end latency is at or above this many µs. `0` (the default)
-    /// disables latency-driven degradation.
-    pub degrade_p99_us: u64,
     /// Step-horizon cap applied to requests admitted while Degraded.
     /// `0` derives the default (32 steps — four phase periods).
     pub degraded_max_steps: usize,
-    /// Multiplier applied to `ConfidenceMargin` margins while Degraded.
-    /// Values below 1 make early exit *easier* (less confidence
-    /// demanded). Non-finite or non-positive values derive the default
-    /// (0.5).
-    pub degraded_margin_scale: f32,
 }
 
-impl Default for ShedConfig {
-    fn default() -> Self {
-        ShedConfig {
-            queue_high_watermark: 0,
-            degrade_watermark: 0,
-            degrade_p99_us: 0,
-            degraded_max_steps: 0,
-            degraded_margin_scale: 0.0,
-        }
-    }
-}
+/// Multiplier applied to `ConfidenceMargin` margins while Degraded:
+/// below 1, early exit demands less confidence.
+const DEGRADED_MARGIN_SCALE: f32 = 0.5;
 
 /// The three load states of the brownout controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BrownoutState {
     /// Below every watermark: requests are admitted untouched.
     Normal,
-    /// Past the degrade watermark (or the p99 ceiling): requests are
-    /// admitted with a tightened exit policy and flagged degraded.
+    /// Past the degrade watermark: requests are admitted with a
+    /// tightened exit policy and flagged degraded.
     Degraded,
     /// Past the shed watermark: requests are refused with SHED.
     Shed,
@@ -182,9 +164,7 @@ pub struct AdmissionControl {
     runtime: Arc<ServeRuntime>,
     watermark: usize,
     degrade_watermark: usize,
-    degrade_p99_us: u64,
     degraded_max_steps: usize,
-    degraded_margin_scale: f32,
 }
 
 impl AdmissionControl {
@@ -203,19 +183,11 @@ impl AdmissionControl {
         } else {
             cfg.degraded_max_steps
         };
-        let degraded_margin_scale =
-            if cfg.degraded_margin_scale.is_finite() && cfg.degraded_margin_scale > 0.0 {
-                cfg.degraded_margin_scale
-            } else {
-                0.5
-            };
         AdmissionControl {
             runtime,
             watermark,
             degrade_watermark: cfg.degrade_watermark,
-            degrade_p99_us: cfg.degrade_p99_us,
             degraded_max_steps,
-            degraded_margin_scale,
         }
     }
 
@@ -231,19 +203,14 @@ impl AdmissionControl {
     }
 
     /// The brownout state the *next* admission would see: Shed past the
-    /// shed watermark, Degraded past the degrade watermark or the p99
-    /// latency ceiling (when either is configured), Normal otherwise.
+    /// shed watermark, Degraded past the degrade watermark (when one is
+    /// configured), Normal otherwise.
     pub fn brownout_state(&self) -> BrownoutState {
         let depth = self.runtime.queue_depth();
         if depth >= self.watermark {
             return BrownoutState::Shed;
         }
         if self.degrade_watermark > 0 && depth >= self.degrade_watermark {
-            return BrownoutState::Degraded;
-        }
-        if self.degrade_p99_us > 0
-            && self.runtime.metrics_handle().latency_p99_us() >= self.degrade_p99_us
-        {
             return BrownoutState::Degraded;
         }
         BrownoutState::Normal
@@ -283,7 +250,7 @@ impl AdmissionControl {
                 request.policy = degrade_policy(
                     &request.policy,
                     self.degraded_max_steps,
-                    self.degraded_margin_scale,
+                    DEGRADED_MARGIN_SCALE,
                 );
                 request.degraded = true;
             }

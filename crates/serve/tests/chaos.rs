@@ -343,7 +343,6 @@ fn brownout_degrades_answers_before_shedding() {
                 queue_high_watermark: 64,
                 degrade_watermark: 1,
                 degraded_max_steps: 8,
-                ..ShedConfig::default()
             },
             ..NetConfig::default()
         },
